@@ -55,7 +55,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from repro.analysis.report import format_table
 from repro.engine.core import ConfigOverride, ExperimentEngine, build_matrix
-from repro.engine.dispatch import Dispatcher
 from repro.engine.jobs import MachineSpec
 from repro.errors import ExperimentError
 from repro.experiments_registry import COMPOSITION_KEYS
@@ -165,9 +164,6 @@ def run_composition(
     jobs: Optional[int] = None,
     cache: bool = True,
     cache_dir: Union[str, Path, None] = None,
-    cache_backend: Optional[str] = None,
-    cache_url: Optional[str] = None,
-    dispatcher: Union[Dispatcher, str, None] = None,
     telemetry: Union[str, Path, None] = None,
 ) -> CompositionResult:
     """Run the composition study over a benchmark x machine-variant grid.
@@ -180,8 +176,8 @@ def run_composition(
     kernels; any registry name works, including ``gen_<seed>``.
 
     Every (program, key, variant) cell runs TIMING mode through one
-    engine run — cached, dispatchable, bit-identical across dispatchers
-    like any study.
+    engine run — cached, poolable, bit-identical across ``jobs`` like
+    any study.
     """
     if benchmarks is None:
         benchmarks = BENCHMARKS + KERNELS
@@ -227,14 +223,7 @@ def run_composition(
                 )
             )
 
-        engine = ExperimentEngine(
-            jobs=jobs,
-            cache=cache,
-            cache_dir=cache_dir,
-            cache_backend=cache_backend,
-            cache_url=cache_url,
-            dispatcher=dispatcher,
-        )
+        engine = ExperimentEngine(jobs=jobs, cache=cache, cache_dir=cache_dir)
         outcomes = engine.run(matrix)
 
     # (variant, benchmark) -> key -> time

@@ -51,7 +51,7 @@ def run_jobs_batched(
     Mirrors :meth:`ExperimentEngine.run`'s contract — per-job cache
     lookup first, outcomes in submission order — but executes the
     misses cell-by-cell through :func:`execute_cell_batched` instead of
-    job-by-job (the engine's dispatcher is not used; the batched
+    job-by-job (the engine's worker pool is not used; the batched
     evaluator replaces that parallelism).
     """
     outcomes, misses = partition_jobs(engine.cache, jobs)
@@ -67,12 +67,6 @@ def run_jobs_batched(
             engine.cache.put(fp, record)
             if trace is not None:
                 record = dict(record, trace=trace)
-                obs.event(
-                    "engine.job",
-                    benchmark=job.benchmark,
-                    experiment=job.experiment,
-                    status="batched",
-                )
             outcomes[i] = JobOutcome(job=job, record=record, cached=False)
 
     return [o for o in outcomes if o is not None]

@@ -1,40 +1,28 @@
-"""Result-cache backends: content-addressed job records behind one protocol.
+"""The result cache: content-addressed job records behind one protocol.
 
-Every backend stores finished job records keyed by their SHA-256 content
-fingerprint and honors the same contract (the **backend contract**,
-executable as ``tests/engine/test_backends.py``):
+Every cache stores finished job records keyed by their SHA-256 content
+fingerprint and honors the same contract (executable as
+``tests/engine/test_backends.py``):
 
 * ``get`` returns the stored record or ``None`` on *any* miss — absent,
   torn, corrupt, or written under another ``RECORD_SCHEMA``;
 * ``put`` is atomic (a concurrent reader sees the old record, the new
   record, or a clean miss — never a partial document) and best-effort
-  (storage failures never fail the run that produced the result);
+  (storage failures never fail the run that produced the result; the
+  first one per cache directory prints a warning on stderr);
 * ``stats`` and ``prune`` make a stale multi-gigabyte store inspectable
   and reclaimable without deleting it by hand.
 
-Four implementations:
+Two implementations:
 
 ``DirCache``
-    Today's on-disk layout, ``<root>/<aa>/<fingerprint>.json`` (first
-    two hex digits shard the directory); unchanged format, so existing
-    ``.repro-cache/`` directories stay valid.  Atomicity is tmp-file +
-    ``os.replace``.
-``SqliteCache``
-    One shared SQLite file in WAL mode — safe for many concurrent
-    writer *processes* on one host (:mod:`repro.engine.cache_sqlite`).
-``HttpCache``
-    A thin JSON GET/PUT client so many hosts can share one store; pair
-    with the ``repro cache serve`` server mode
-    (:mod:`repro.engine.cache_http`).
+    The on-disk layout, ``<root>/<aa>/<fingerprint>.json`` (first two
+    hex digits shard the directory), under ``.repro-cache/`` or
+    ``REPRO_CACHE_DIR``.  Atomicity is tmp-file + ``os.replace``.
 ``NullCache``
-    The ``--no-cache`` backend: everything misses, nothing is stored.
+    The ``--no-cache`` cache: everything misses, nothing is stored.
 
-Selection goes through :func:`make_cache` — explicitly via
-``cache_backend=`` / ``--cache-backend dir|sqlite|http``, or implicitly:
-a set ``REPRO_CACHE_URL`` selects the HTTP backend, otherwise the
-directory backend under ``.repro-cache/`` (or ``REPRO_CACHE_DIR``).
-
-Backends count their traffic into the metrics registry under
+Caches count their traffic into the metrics registry under
 ``cache.backend.*`` (hits / misses / stores / store_errors / invalid);
 the engine-level ``engine.result_cache.hit|miss`` counters stay where
 they always were, in the dispatch partition.
@@ -44,11 +32,11 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Protocol, Tuple, Union, runtime_checkable
 
-from repro.errors import ExperimentError
 from repro.obs import core as obs
 
 #: Schema version of the stored record; bump together with record shape.
@@ -62,16 +50,8 @@ RECORD_SCHEMA = 3
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: Backend kinds `make_cache` / ``--cache-backend`` accept.
-BACKEND_KINDS = ("dir", "sqlite", "http", "null")
-
-
 def default_cache_root() -> Path:
     return Path(os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR))
-
-
-def default_cache_url() -> Optional[str]:
-    return os.environ.get("REPRO_CACHE_URL") or None
 
 
 @dataclass
@@ -106,7 +86,8 @@ class CacheStats:
 
 @runtime_checkable
 class CacheBackend(Protocol):
-    """The storage contract every result-cache backend satisfies."""
+    """The storage contract :class:`DirCache` and :class:`NullCache`
+    satisfy."""
 
     kind: str
 
@@ -134,13 +115,13 @@ class CacheBackend(Protocol):
         ...
 
     def describe(self) -> dict:
-        """``{"backend": kind, "location": root-or-url}`` — the
+        """``{"backend": kind, "location": root}`` — the
         telemetry-envelope attribution of where records went."""
         ...
 
 
 def validate_record(record: object, fingerprint: str) -> Optional[dict]:
-    """The shared schema-miss gate: a stored document counts only when it
+    """The schema-miss gate: a stored document counts only when it
     is a dict carrying the current ``RECORD_SCHEMA`` *and* filed under
     its own fingerprint; anything else is an invalid entry (counted) and
     reads as a miss."""
@@ -180,6 +161,24 @@ class NullCache:
 
     def describe(self) -> dict:
         return {"backend": self.kind, "location": None}
+
+
+#: Cache roots whose store failure has already been reported.  Kept per
+#: process, not per DirCache: a refined sweep builds one engine (and so
+#: one DirCache) per round, and the warning must appear once per run.
+_UNWRITABLE: set = set()
+
+
+def _warn_unwritable(root: Path, exc: OSError) -> None:
+    """Report the first failed store under ``root``: on stderr (a run
+    whose every write is lost must not look cached) and as a
+    once-per-process ``warning`` event."""
+    if str(root) in _UNWRITABLE:
+        return
+    _UNWRITABLE.add(str(root))
+    message = f"result cache {root} is not writable ({exc}); results are not cached"
+    print(f"warning: {message}", file=sys.stderr)
+    obs.warn_once(message, cache_dir=str(root))
 
 
 class DirCache:
@@ -223,9 +222,10 @@ class DirCache:
             os.replace(tmp, path)
             obs.add("engine.result_cache.store")
             obs.add("cache.backend.stores")
-        except OSError:
+        except OSError as exc:
             obs.add("engine.result_cache.store_error")
             obs.add("cache.backend.store_errors")
+            _warn_unwritable(self.root, exc)
 
     def _entries(self) -> Iterator[Tuple[Path, os.stat_result]]:
         if not self.root.is_dir():
@@ -281,47 +281,10 @@ class DirCache:
         return {"backend": self.kind, "location": str(self.root)}
 
 
-#: Historical name (pre-backend-protocol); same class, same layout.
-ResultCache = DirCache
-
-
 def make_cache(
-    enabled: bool = True,
-    root: Union[str, Path, None] = None,
-    *,
-    backend: Optional[str] = None,
-    url: Optional[str] = None,
+    enabled: bool = True, root: Union[str, Path, None] = None
 ) -> CacheBackend:
-    """Resolve a cache backend from the engine knobs.
-
-    ``backend`` picks explicitly (``dir`` / ``sqlite`` / ``http`` /
-    ``null``); when it is ``None``, a cache URL (argument or
-    ``REPRO_CACHE_URL``) selects the HTTP backend and anything else
-    falls back to the directory backend.  ``enabled=False`` always wins
-    with a :class:`NullCache`.
-    """
-    if not enabled:
-        return NullCache()
-    url = url or default_cache_url()
-    if backend is None:
-        backend = "http" if url else "dir"
-    if backend == "dir":
-        return DirCache(root)
-    if backend == "sqlite":
-        from repro.engine.cache_sqlite import SqliteCache
-
-        return SqliteCache(root)
-    if backend == "http":
-        from repro.engine.cache_http import HttpCache
-
-        if not url:
-            raise ExperimentError(
-                "http cache backend needs a URL (cache_url= / --cache-url "
-                "or $REPRO_CACHE_URL)"
-            )
-        return HttpCache(url)
-    if backend == "null":
-        return NullCache()
-    raise ExperimentError(
-        f"unknown cache backend {backend!r} (choose from {', '.join(BACKEND_KINDS)})"
-    )
+    """The engine's cache: a :class:`DirCache` under ``root`` (default
+    ``.repro-cache/`` or ``REPRO_CACHE_DIR``), or a :class:`NullCache`
+    when ``enabled`` is false."""
+    return DirCache(root) if enabled else NullCache()

@@ -125,8 +125,9 @@ def execute_job(job: Job) -> dict:
     When this process is a pool worker of a *tracing* coordinator (see
     :func:`repro.obs.distributed.worker_init`), the job runs under a
     per-job capture recorder and the record carries the captured
-    spans/metrics home under the ``"obs"`` key — popped by the
-    dispatcher before the record reaches the cache or the caller.
+    spans/metrics home under the ``"obs"`` key — popped by
+    :func:`~repro.engine.dispatch.dispatch_jobs` before the record
+    reaches the cache or the caller.
     """
     capture = distributed.begin_job_capture()
     try:

@@ -27,7 +27,7 @@ from a fixed pool of literal *strings* (never formatted floats).  The
 program is named ``gen_<seed>``, and the registry resolves that name
 back through :func:`generated_seed`, which makes generated programs
 first-class benchmarks: ``run_study(benchmarks=("gen_7",))`` works, as
-do sweeps, the frontier tools, composition, and ``repro serve`` —
+do sweeps, the frontier tools, and composition —
 engine fingerprints key on the generated *source text*, so cached
 results stay correct even if the generator evolves.
 

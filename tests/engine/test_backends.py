@@ -1,12 +1,12 @@
-"""The cache-backend contract, executed against every backend.
+"""The result-cache contract, executed against the directory store.
 
-Each backend (dir, sqlite, http, null) must honor the same semantics:
-fingerprint-addressed round trips, schema/fingerprint mismatches read
-as misses, atomic ``put`` under concurrent writers (a reader sees an
-old record, a new record, or a clean miss — never a torn document),
-and ``stats``/``prune`` maintenance.  The concurrency tests hammer one
-shared store from multiple *processes*, which is exactly how two engine
-runs share a backend.
+The store must honor: fingerprint-addressed round trips,
+schema/fingerprint mismatches read as misses, atomic ``put`` under
+concurrent writers (a reader sees an old record, a new record, or a
+clean miss — never a torn document), best-effort ``put`` that reports
+an unwritable directory once, and ``stats``/``prune`` maintenance.  The
+concurrency test hammers one shared store from multiple *processes*,
+which is exactly how two engine runs share a cache directory.
 """
 
 import json
@@ -17,17 +17,14 @@ import pytest
 from repro.engine import (
     RECORD_SCHEMA,
     CacheBackend,
-    CacheServer,
     DirCache,
-    HttpCache,
     NullCache,
-    SqliteCache,
     make_cache,
 )
-from repro.errors import ExperimentError
+from repro.obs import MemorySink, recording
 
 #: every storing backend; null joins for the protocol-shape tests only
-STORES = ("dir", "sqlite", "http")
+STORES = ("dir",)
 
 FP_A = "ab" * 32
 FP_B = "cd" * 32
@@ -43,14 +40,8 @@ def _record(fingerprint, payload="x", size=1):
 
 @pytest.fixture(params=STORES)
 def backend(request, tmp_path):
-    """One of each storing backend over a fresh store; http serves a
-    sqlite store from a background thread."""
-    if request.param == "http":
-        server = CacheServer(SqliteCache(tmp_path)).start()
-        yield HttpCache(server.url)
-        server.close()
-    else:
-        yield make_cache(True, tmp_path, backend=request.param)
+    """Each storing backend over a fresh store."""
+    return make_cache(True, tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -59,40 +50,20 @@ def backend(request, tmp_path):
 
 
 def test_every_backend_satisfies_the_protocol(tmp_path):
-    server = CacheServer(DirCache(tmp_path / "served")).start()
-    try:
-        for impl in (
-            DirCache(tmp_path / "d"),
-            SqliteCache(tmp_path / "s"),
-            HttpCache(server.url),
-            NullCache(),
-        ):
-            assert isinstance(impl, CacheBackend)
-            assert impl.kind in ("dir", "sqlite", "http", "null")
-            desc = impl.describe()
-            assert set(desc) == {"backend", "location"}
-            assert desc["backend"] == impl.kind
-    finally:
-        server.close()
+    for impl in (DirCache(tmp_path / "d"), NullCache()):
+        assert isinstance(impl, CacheBackend)
+        assert impl.kind in ("dir", "null")
+        desc = impl.describe()
+        assert set(desc) == {"backend", "location"}
+        assert desc["backend"] == impl.kind
 
 
 def test_make_cache_selection(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_CACHE_URL", raising=False)
     assert make_cache(False, tmp_path).kind == "null"
     assert make_cache(True, tmp_path).kind == "dir"
-    assert make_cache(True, tmp_path, backend="sqlite").kind == "sqlite"
-    assert make_cache(True, None, url="http://x:1").kind == "http"
-    monkeypatch.setenv("REPRO_CACHE_URL", "http://env:1")
-    implied = make_cache(True, tmp_path)
-    assert implied.kind == "http" and implied.url == "http://env:1"
-    with pytest.raises(ExperimentError, match="unknown cache backend"):
-        make_cache(True, tmp_path, backend="redis")
-
-
-def test_http_backend_requires_a_url(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_CACHE_URL", raising=False)
-    with pytest.raises(ExperimentError, match="URL"):
-        make_cache(True, tmp_path, backend="http")
+    assert make_cache(True, tmp_path).root == tmp_path
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+    assert make_cache(True).root == tmp_path / "env"
 
 
 def test_null_backend_stores_nothing():
@@ -158,41 +129,44 @@ def test_prune_by_age(backend):
     assert backend.stats().entries == 0
 
 
-def test_http_unreachable_server_degrades_to_misses():
-    # no listener on a fresh ephemeral-range port: reads miss, writes
-    # are counted best-effort failures, stats come back empty
-    dead = HttpCache("http://127.0.0.1:9", timeout=0.2)
-    assert dead.get(FP_A) is None
-    dead.put(FP_A, _record(FP_A))  # must not raise
-    assert dead.stats().entries == 0
-    assert dead.prune() == 0
+def test_unwritable_directory_warns_once_and_keeps_running(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    store = DirCache(blocker / "cache")
+    sink = MemorySink()
+    with recording(sink) as rec:
+        store.put(FP_A, _record(FP_A))  # must not raise
+        store.put(FP_B, _record(FP_B))
+        counters = dict(rec.metrics.counters)
+    assert store.get(FP_A) is None
+    assert counters["cache.backend.store_errors"] == 2
+    warnings = [r for r in sink.records if r.get("name") == "warning"]
+    assert len(warnings) == 1
+    assert warnings[0]["attrs"]["cache_dir"] == str(blocker / "cache")
+    err = capsys.readouterr().err
+    assert err.count("warning:") == 1
+    assert str(blocker / "cache") in err and "not writable" in err
 
 
 # ---------------------------------------------------------------------------
-# concurrent writers: two engine runs sharing one backend
+# concurrent writers: two engine runs sharing one cache directory
 # ---------------------------------------------------------------------------
 
 
-def _open_backend(kind, location):
-    if kind == "http":
-        return HttpCache(location)
-    return make_cache(True, location, backend=kind)
-
-
-def _hammer_writer(kind, location, fingerprint, payload, rounds):
+def _hammer_writer(location, fingerprint, payload, rounds):
     """One writer process: repeatedly overwrite the shared fingerprint
     with a large single-payload record."""
-    store = _open_backend(kind, location)
+    store = DirCache(location)
     record = _record(fingerprint, payload=payload, size=2000)
     for _ in range(rounds):
         store.put(fingerprint, record)
     return payload
 
 
-def _hammer_reader(kind, location, fingerprint, rounds):
+def _hammer_reader(location, fingerprint, rounds):
     """One reader process: every observed record must be exactly one
     writer's document — never a mixture, never a partial parse."""
-    store = _open_backend(kind, location)
+    store = DirCache(location)
     seen = set()
     for _ in range(rounds):
         record = store.get(fingerprint)
@@ -207,88 +181,35 @@ def _hammer_reader(kind, location, fingerprint, rounds):
 
 @pytest.mark.parametrize("kind", STORES)
 def test_concurrent_writers_never_tear_records(kind, tmp_path):
-    server = None
-    if kind == "http":
-        server = CacheServer(SqliteCache(tmp_path)).start()
-        location = server.url
-    else:
-        location = str(tmp_path)
+    location = str(tmp_path)
     rounds = 150
-    try:
-        with ProcessPoolExecutor(max_workers=3) as pool:
-            writers = [
-                pool.submit(_hammer_writer, kind, location, FP_A, p, rounds)
-                for p in ("a", "b")
-            ]
-            reader = pool.submit(_hammer_reader, kind, location, FP_A, rounds)
-            for f in writers:
-                f.result(timeout=120)
-            reader.result(timeout=120)  # raises on any torn observation
-        final = _open_backend(kind, location).get(FP_A)
-        assert final is not None
-        assert final["payload"] in ("a" * 2000, "b" * 2000)
-    finally:
-        if server is not None:
-            server.close()
+    with ProcessPoolExecutor(max_workers=3) as pool:
+        writers = [
+            pool.submit(_hammer_writer, location, FP_A, p, rounds)
+            for p in ("a", "b")
+        ]
+        reader = pool.submit(_hammer_reader, location, FP_A, rounds)
+        for f in writers:
+            f.result(timeout=120)
+        reader.result(timeout=120)  # raises on any torn observation
+    final = DirCache(location).get(FP_A)
+    assert final is not None
+    assert final["payload"] in ("a" * 2000, "b" * 2000)
 
 
-def _study_through(kind, location, cache_dir):
+def test_telemetry_envelope_carries_backend_attribution(tmp_path):
     from repro import run_study
     from repro.programs import small_config
 
-    return run_study(
+    out = tmp_path / "telemetry.json"
+    store = tmp_path / "store"
+    study = run_study(
         benchmarks=("swm",),
         keys=("baseline",),
         nprocs=16,
         config_overrides={"swm": small_config("swm")},
-        cache_dir=cache_dir,
-        cache_backend=kind,
-        cache_url=location if kind == "http" else None,
+        cache_dir=store,
     )
-
-
-@pytest.mark.parametrize("kind", ("sqlite", "http"))
-def test_two_engine_runs_share_one_backend(kind, tmp_path):
-    """The second engine run over a shared store is served entirely from
-    the first run's records, for the multi-writer backends."""
-    server = None
-    if kind == "http":
-        server = CacheServer(SqliteCache(tmp_path / "store")).start()
-        location = server.url
-    else:
-        location = None
-    try:
-        cold = _study_through(kind, location, tmp_path / "store")
-        warm = _study_through(kind, location, tmp_path / "store")
-    finally:
-        if server is not None:
-            server.close()
-    assert cold.cache_hits == 0
-    assert warm.cache_hits == len(warm.outcomes) == 1
-    assert dict(warm.results) == dict(cold.results)
-    assert warm.cache_info["backend"] == kind
-
-
-def test_backend_parity_with_dircache(tmp_path):
-    """A study through sqlite produces records byte-identical to the
-    DirCache study (fingerprints and result payloads untouched by the
-    storage layer)."""
-    through_dir = _study_through("dir", None, tmp_path / "d")
-    through_sql = _study_through("sqlite", None, tmp_path / "s")
-    strip = lambda r: {  # noqa: E731 - the volatile, host-local fields
-        k: v
-        for k, v in r.items()
-        if k not in ("timings", "started_at", "worker_pid", "compile_cache")
-    }
-    assert [strip(r) for r in through_dir.telemetry] == [
-        strip(r) for r in through_sql.telemetry
-    ]
-
-
-def test_telemetry_envelope_carries_backend_attribution(tmp_path):
-    out = tmp_path / "telemetry.json"
-    study = _study_through("sqlite", None, tmp_path / "store")
     study.write_telemetry(out)
     doc = json.loads(out.read_text())
-    assert doc["cache"]["backend"] == "sqlite"
-    assert doc["cache"]["location"].endswith("cache.sqlite")
+    assert doc["cache"] == {"backend": "dir", "location": str(store)}

@@ -1,12 +1,6 @@
-"""Tests for the parallel cached experiment engine.
-
-Setting ``REPRO_TEST_CACHE_BACKEND=sqlite`` (CI does) re-runs the suite
-with studies stored through that backend instead of the directory
-layout; dir-layout-specific tests skip themselves.
-"""
+"""Tests for the parallel cached experiment engine."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -18,8 +12,8 @@ from repro.engine import (
     RECORD_SCHEMA,
     ExperimentEngine,
     Job,
+    DirCache,
     MachineSpec,
-    ResultCache,
     build_matrix,
     clear_compile_cache,
     load_telemetry,
@@ -29,22 +23,12 @@ from repro.programs import small_config
 
 SWM_SMALL = small_config("swm")
 
-#: the backend the study-running tests store through (CI sweeps this)
-TEST_BACKEND = os.environ.get("REPRO_TEST_CACHE_BACKEND") or None
-
-dir_backend_only = pytest.mark.skipif(
-    TEST_BACKEND not in (None, "dir"),
-    reason="exercises the dir backend's on-disk layout",
-)
-
-
 def _study(cache_dir, **kwargs):
     kwargs.setdefault("benchmarks", ("swm",))
     kwargs.setdefault("keys", ("baseline", "cc"))
     kwargs.setdefault("nprocs", 16)
     kwargs.setdefault("config_overrides", {"swm": SWM_SMALL})
     kwargs.setdefault("cache_dir", cache_dir)
-    kwargs.setdefault("cache_backend", TEST_BACKEND)
     return run_study(**kwargs)
 
 
@@ -153,7 +137,6 @@ def test_no_cache_never_writes(tmp_path):
     assert again.cache_hits == 0
 
 
-@dir_backend_only
 def test_corrupt_cache_entry_is_a_miss(tmp_path):
     _study(tmp_path)
     entries = list(tmp_path.rglob("*.json"))
@@ -168,7 +151,7 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
 def test_cache_record_roundtrip(tmp_path):
     from repro.engine.cache import RECORD_SCHEMA
 
-    cache = ResultCache(tmp_path)
+    cache = DirCache(tmp_path)
     assert cache.get("ab" * 32) is None
     record = {"schema": RECORD_SCHEMA, "fingerprint": "ab" * 32, "x": 1.5}
     cache.put("ab" * 32, record)
