@@ -72,7 +72,7 @@ from repro.runtime.schedule import (
     _Lowerer,
     _Runner,
 )
-from repro.runtime.transfers import PlanCache, TransferPlan
+from repro.runtime.transfers import PlanCache, TransferPlan, running_sums
 
 __all__ = [
     "BatchEvaluator",
@@ -321,17 +321,9 @@ class _CommData:
 
 def _send_vectors(plan: TransferPlan, pc: PrimColumns, matrix: VariantMatrix):
     """Batched ``prim_vectors``: per-message cumulative send cost, total
-    software cost by rank, and wire time — ``np.cumsum`` is a sequential
-    accumulate, so each row matches the scalar running-sum loop
-    bitwise."""
-    sw = pc.sw_matrix(plan.nbytes)
-    cum = np.empty_like(sw)
-    total = np.zeros((sw.shape[0], plan.nprocs), dtype=np.float64)
-    for s in plan.senders_unique:
-        idx = np.flatnonzero(plan.senders == s)
-        cs = np.cumsum(sw[:, idx], axis=1)
-        cum[:, idx] = cs
-        total[:, int(s)] = cs[:, -1]
+    software cost by rank, and wire time — the same per-rank running
+    sums as the scalar path, so each row matches it bitwise."""
+    cum, total = running_sums(pc.sw_matrix(plan.nbytes), plan.senders, plan.nprocs)
     lat = matrix.net_raw if pc.raw_wire else matrix.net_latency
     wire = (
         lat[:, None] + plan.nbytes[None, :] / matrix.net_bandwidth[:, None]
@@ -341,12 +333,7 @@ def _send_vectors(plan: TransferPlan, pc: PrimColumns, matrix: VariantMatrix):
 
 def _recv_vectors(plan: TransferPlan, pc: PrimColumns) -> np.ndarray:
     """Batched ``recv_sw_by_rank``: per-rank total receive cost."""
-    sw = pc.sw_matrix(plan.nbytes)
-    out = np.zeros((sw.shape[0], plan.nprocs), dtype=np.float64)
-    for r in plan.receivers_unique:
-        idx = np.flatnonzero(plan.receivers == r)
-        out[:, int(r)] = np.cumsum(sw[:, idx], axis=1)[:, -1]
-    return out
+    return running_sums(pc.sw_matrix(plan.nbytes), plan.receivers, plan.nprocs)[1]
 
 
 def _fixed_table(plan: TransferPlan, role: str, fixed: np.ndarray) -> np.ndarray:

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import RuntimeFault
 from repro.lang.regions import Region, bounding_region
 from repro.runtime.grid import ProcessorGrid
@@ -64,6 +66,7 @@ class ProblemLayout:
         self.grid = grid
         self.array_domains = dict(array_domains)
         self._classes: Dict[int, RankClassLayout] = {}
+        self._owned_arrays: Dict[int, Tuple[np.ndarray, ...]] = {}
         by_rank: Dict[int, List[Region]] = {}
         for region in array_domains.values():
             by_rank.setdefault(region.rank, []).append(region)
@@ -123,6 +126,28 @@ class ProblemLayout:
             lo, hi = cls.dim_splits[i][mesh_coords[i]]
             lows[d], highs[d] = lo, hi
         return Region(f"<own{proc}>", tuple(lows), tuple(highs))
+
+    def owned_arrays(
+        self, array_rank: int
+    ) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
+        """:meth:`owned` for every processor at once: ``(lows, highs)`` as
+        ``(nprocs, rank)`` int64 arrays (row ``p`` is processor ``p``'s
+        block), plus the low bound of each block along each mesh axis
+        (cached per rank class; treat as read-only)."""
+        cached = self._owned_arrays.get(array_rank)
+        if cached is None:
+            blocks = [self.owned(array_rank, p) for p in self.grid.ranks()]
+            splits = self.rank_class(array_rank).dim_splits
+            cached = (
+                np.array([block.lows for block in blocks], dtype=np.int64),
+                np.array([block.highs for block in blocks], dtype=np.int64),
+                tuple(
+                    np.array([lo for lo, _ in axis], dtype=np.int64)
+                    for axis in splits
+                ),
+            )
+            self._owned_arrays[array_rank] = cached
+        return cached
 
     def owner_of(self, array_rank: int, index: Sequence[int]) -> int:
         """Processor owning a global index (for tests/diagnostics)."""

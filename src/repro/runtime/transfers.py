@@ -15,22 +15,28 @@ A combined descriptor packs all its entries' strips for the same
 neighbour pair into one message (that is the point of combining: fewer,
 larger messages, same volume).
 
-Plans are pure metadata (global-coordinate boxes and byte counts).  The
-timing engine consumes the vectorized views; the numeric engine walks the
-message list to snapshot and deliver real strip data.
+Under a block distribution the strip geometry is affine in processor
+coordinates, so a plan is computed in closed form for every receiver
+at once: one ``(entries x processors x strips, rank)`` integer array per
+bound, not one ``Region`` per strip.  Plans are pure metadata.  The
+timing engines consume the ``senders``/``receivers``/``nbytes`` arrays;
+only the numeric engine walks ``messages``, whose ``Message`` and
+``StripCopy`` objects are built from the strip bounds on first access.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import RuntimeFault
 from repro.ir.nodes import CommDescriptor
 from repro.lang.regions import Region
+from repro.runtime.grid import ProcessorGrid
 from repro.runtime.layout import ProblemLayout
 
 _DOUBLE = 8  # bytes per element; ZL arrays are doubles
@@ -80,6 +86,36 @@ class _PrimCache:
     wire: np.ndarray  # per message: latency + bytes/bandwidth
 
 
+def running_sums(
+    values: np.ndarray, endpoints: np.ndarray, nprocs: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-rank running sums of ``values`` (messages, or variants x
+    messages) over the messages of each endpoint rank, in message order,
+    and each rank's total (ranks, or variants x ranks).
+
+    The messages are laid out as a ``ranks x width`` matrix of slots,
+    each rank's messages in order and padded at the end of its row, so
+    one ``np.cumsum`` along the rows does the same float adds, in the
+    same order, as a sequential per-rank loop.  A total is its rank's
+    last running sum plus zero padding, which changes no float but -0.0
+    (never a cost).  Both the scalar and the batched engines reduce
+    through here, so their rows agree bitwise."""
+    count = len(endpoints)
+    per_rank = np.bincount(endpoints, minlength=nprocs)
+    width = max(int(per_rank.max()), 1)
+    order = np.argsort(endpoints, kind="stable")
+    ordered = endpoints[order]
+    position = np.arange(count) - (np.cumsum(per_rank) - per_rank)[ordered]
+    slot_of = np.empty(count, dtype=np.int64)
+    slot_of[order] = ordered * width + position
+    slots = np.full(nprocs * width, count)  # ``count`` indexes the padding
+    slots[slot_of] = np.arange(count)
+    lead = values.shape[:-1]
+    padded = np.concatenate([values, np.zeros(lead + (1,))], axis=-1)
+    sums = padded[..., slots].reshape(lead + (nprocs, width)).cumsum(axis=-1)
+    return sums.reshape(lead + (-1,))[..., slot_of], sums[..., -1].copy()
+
+
 class TransferPlan:
     """All messages of one descriptor on one machine layout."""
 
@@ -88,31 +124,45 @@ class TransferPlan:
     ) -> None:
         self.desc = desc
         self.nprocs = nprocs
-        self.messages: List[Message] = _build_messages(desc, layout)
-        m = len(self.messages)
-        self.senders = np.fromiter(
-            (msg.sender for msg in self.messages), dtype=np.int64, count=m
+        entry, receiver, sender, bounds, src = _strips(desc, layout)
+        # one message per (sender, receiver) pair, in sorted pair order;
+        # the stable sort keeps each pair's strips in (entry, subset) order
+        key = sender * nprocs + receiver
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        pairs = key[starts]
+        self.senders = pairs // nprocs
+        self.receivers = pairs % nprocs
+        sizes = (bounds[:, 1] - bounds[:, 0] + 1).prod(axis=1)[order]
+        self.nbytes = np.add.reduceat(sizes, starts) * _DOUBLE
+        self.messages = MessageList(
+            desc, self.senders, self.receivers, starts, order, entry, bounds, src
         )
-        self.receivers = np.fromiter(
-            (msg.receiver for msg in self.messages), dtype=np.int64, count=m
-        )
-        self.nbytes = np.fromiter(
-            (msg.nbytes for msg in self.messages), dtype=np.int64, count=m
-        )
-        participants = np.zeros(nprocs, dtype=bool)
-        participants[self.senders] = True
-        participants[self.receivers] = True
-        self.participants = participants
-        self.participant_count = int(participants.sum())
-        self.receivers_unique = np.unique(self.receivers)
-        self.senders_unique = np.unique(self.senders)
+        sends = np.zeros(nprocs, dtype=bool)
+        sends[self.senders] = True
+        recvs = np.zeros(nprocs, dtype=bool)
+        recvs[self.receivers] = True
+        self.participants = sends | recvs
+        self.participant_count = int(self.participants.sum())
+        self.receivers_unique = np.flatnonzero(recvs)
+        self.senders_unique = np.flatnonzero(sends)
         self._prim_cache: Dict[Tuple, _PrimCache] = {}
         self._recv_sw_cache: Dict[Tuple, np.ndarray] = {}
         self._fixed_cache: Dict[Tuple[str, float], np.ndarray] = {}
 
     @property
     def message_count(self) -> int:
-        return len(self.messages)
+        return len(self.senders)
+
+    def _sw(self, prim) -> np.ndarray:
+        return np.fromiter(
+            (prim.sw(int(b)) for b in self.nbytes),
+            dtype=np.float64,
+            count=len(self.nbytes),
+        )
 
     def prim_vectors(self, prim, network) -> _PrimCache:
         """Cached per-primitive (cum_sw, total_by_rank, wire) vectors.
@@ -127,16 +177,7 @@ class TransferPlan:
         cached = self._prim_cache.get(key)
         if cached is not None:
             return cached
-        sw = np.fromiter(
-            (prim.sw(int(b)) for b in self.nbytes),
-            dtype=np.float64,
-            count=len(self.nbytes),
-        )
-        cum_sw = np.zeros_like(sw)
-        total = np.zeros(self.nprocs, dtype=np.float64)
-        for i, s in enumerate(self.senders):
-            total[s] += sw[i]
-            cum_sw[i] = total[s]
+        cum, total = running_sums(self._sw(prim), self.senders, self.nprocs)
         wire = np.fromiter(
             (
                 network.transfer_time(int(b), raw_wire=prim.raw_wire)
@@ -145,7 +186,7 @@ class TransferPlan:
             dtype=np.float64,
             count=len(self.nbytes),
         )
-        cached = _PrimCache(cum_sw=cum_sw, total_sw_by_rank=total, wire=wire)
+        cached = _PrimCache(cum_sw=cum, total_sw_by_rank=total, wire=wire)
         self._prim_cache[key] = cached
         return cached
 
@@ -155,9 +196,7 @@ class TransferPlan:
         value, treat as read-only)."""
         out = self._recv_sw_cache.get(prim)
         if out is None:
-            out = np.zeros(self.nprocs, dtype=np.float64)
-            for i, r in enumerate(self.receivers):
-                out[r] += prim.sw(int(self.nbytes[i]))
+            out = running_sums(self._sw(prim), self.receivers, self.nprocs)[1]
             self._recv_sw_cache[prim] = out
         return out
 
@@ -175,141 +214,240 @@ class TransferPlan:
         return out
 
 
-def _nonempty_subsets(dims: List[int]) -> List[Tuple[int, ...]]:
-    out: List[Tuple[int, ...]] = []
-    n = len(dims)
-    for mask in range(1, 1 << n):
-        out.append(tuple(dims[i] for i in range(n) if mask & (1 << i)))
-    return out
+class MessageList(Sequence):
+    """A plan's messages as ``Message``/``StripCopy`` objects, in sorted
+    (sender, receiver) order with each message's copies in (entry,
+    subset) order.  Only the numeric engine reads them, so they are
+    built from the strip bounds on first access; ``len`` builds
+    nothing."""
+
+    def __init__(
+        self, desc, senders, receivers, starts, order, entry, bounds, src
+    ) -> None:
+        self._count = len(senders)
+        self._parts = (desc, senders, receivers, starts, order, entry, bounds, src)
+        self._items: Optional[Tuple[Message, ...]] = None
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        return self._build()[index]
+
+    def __iter__(self):
+        return iter(self._build())
+
+    def _build(self) -> Tuple[Message, ...]:
+        if self._items is None:
+            desc, senders, receivers, starts, order, entry, bounds, src = self._parts
+            names = [desc.entries[i].array for i in entry[order].tolist()]
+            boxes = [
+                Region(f"<strip:{name}>", lo, hi)
+                for name, (lo, hi) in zip(names, bounds[order].tolist())
+            ]
+            if src is None:
+                copies = [StripCopy(name, box) for name, box in zip(names, boxes)]
+            else:
+                copies = [
+                    StripCopy(name, box, Region(f"<wrapsrc:{name}>", lo, hi))
+                    for name, box, (lo, hi) in zip(names, boxes, src[order].tolist())
+                ]
+            ends = starts[1:].tolist() + [len(copies)]
+            self._items = tuple(
+                Message(sender=s, receiver=r, copies=copies[a:b])
+                for s, r, a, b in zip(
+                    senders.tolist(), receivers.tolist(), starts.tolist(), ends
+                )
+            )
+            self._parts = None
+        return self._items
 
 
-def _build_messages(
-    desc: CommDescriptor, layout: ProblemLayout
-) -> List[Message]:
+# Strip geometry works on bounds stacked as ``(..., 2, rank)`` with the
+# highs negated, so that intersecting boxes — the max of the lows and
+# the min of the highs — is one ``np.maximum``, and a box is empty where
+# ``low + (-high) > 0`` in some dim.
+_UNBOUNDED = np.iinfo(np.int64).min // 4
+
+
+@lru_cache(maxsize=None)
+def _strip_kinds(
+    rank: int, dist_dims: Tuple[int, ...], signs: Tuple[int, ...]
+) -> Tuple[np.ndarray, ...]:
+    """The overflow strips of one receiver, one per non-empty subset of
+    the active (distributed, shifted) dims in bitmask order.
+
+    Returns ``(kind, bound, dim, step)``: the first three, each
+    ``(strips, 2, rank)``, index a receiver's ``(3, 2, rank)`` stack of
+    bound candidates (unbounded; past its block on the offset's side;
+    inside its block); ``step`` is the mesh step from the receiver to
+    each strip's owner, as a column of the neighbour table."""
+    active = [d for d in dist_dims if signs[d] != 0]
+    kinds, steps = [], []
+    for bits in range(1, 1 << len(active)):
+        subset = {d for i, d in enumerate(active) if bits & (1 << i)}
+        low, high = [], []
+        for d in range(rank):
+            if d in subset:
+                # the overflow strip on the offset's side
+                low.append(1 if signs[d] > 0 else 0)
+                high.append(0 if signs[d] > 0 else 1)
+            elif d in dist_dims:
+                low.append(2)
+                high.append(2)
+            else:
+                low.append(0)
+                high.append(0)
+        kinds.append([low, high])
+        step = [0, 0]
+        for mesh_axis, d in enumerate(dist_dims):
+            if d in subset:
+                step[mesh_axis] = signs[d]
+        steps.append((step[0] + 1) * 3 + step[1] + 1)
+    kind = np.array(kinds, dtype=np.int64)
+    bound, dim = np.indices(kind.shape)[1:]
+    shared = (kind, bound, dim, np.array(steps))
+    for array in shared:
+        array.setflags(write=False)  # cached: every plan reads the same
+    return shared
+
+
+@lru_cache(maxsize=64)
+def _neighbour_table(grid: ProcessorGrid) -> np.ndarray:
+    """``(nprocs, 9)``: the rank at mesh step ``(dr, dc)`` from each
+    rank, in column ``(dr + 1) * 3 + dc + 1``; -1 off the mesh."""
+    steps = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
+    table = np.full((grid.nprocs, len(steps)), -1, dtype=np.int64)
+    for rank in grid.ranks():
+        for column, step in enumerate(steps):
+            neighbour = grid.neighbor(rank, step)
+            if neighbour is not None:
+                table[rank, column] = neighbour
+    table.setflags(write=False)
+    return table
+
+
+def _strips(desc: CommDescriptor, layout: ProblemLayout):
+    """Every strip of ``desc`` for every receiver at once, in (entry,
+    receiver, subset) order: ``(entry, receiver, sender, bounds, src)``
+    with ``(strips, 2, rank)`` bounds (lows, highs) and, for wrap
+    transfers, the source bounds in the sender's coordinates (else
+    None)."""
+    entries = desc.entries
+    domains = [layout.array_domains[e.array] for e in entries]
+    rank = domains[0].rank if domains else 1
+    offsets = desc.direction.offsets
+    signs = tuple((o > 0) - (o < 0) for o in offsets)
+    dist_dims = layout.distributed_dims(rank) if domains else ()
+    if not any(signs[d] for d in dist_dims):
+        none = np.zeros(0, dtype=np.int64)
+        return none, none, none, none.reshape(0, 2, rank), None  # local shift
+    own_lo, own_hi, split_lows = layout.owned_arrays(rank)
+    kind, bound, dim, steps = _strip_kinds(rank, dist_dims, signs)
+
+    # per receiver and strip, the bounds its block alone sets: the block
+    # shifted by the offset, cut to past the block's edge on the
+    # offset's side (overflow dims) or to inside the block (the other
+    # distributed dims)
+    candidates = np.empty((len(own_lo), 3, 2, rank), dtype=np.int64)
+    candidates[:, 0] = _UNBOUNDED
+    candidates[:, 1, 0] = own_hi + 1
+    candidates[:, 1, 1] = 1 - own_lo
+    candidates[:, 2, 0] = own_lo
+    candidates[:, 2, 1] = -own_hi
+    shift = np.array([offsets, [-o for o in offsets]], dtype=np.int64)
+    limits = np.maximum(
+        candidates[:, kind, bound, dim],
+        (candidates[:, 2] + shift)[:, None],
+    )
+    # each entry's shifted use region clipped to every receiver's strips
+    use = np.array(
+        [
+            [
+                [lo + o for lo, o in zip(e.use_region.lows, offsets)],
+                [-hi - o for hi, o in zip(e.use_region.highs, offsets)],
+            ]
+            for e in entries
+        ],
+        dtype=np.int64,
+    )
+    strips = np.maximum(limits, use[:, None, None])
+    entry, receiver, subset = np.nonzero(
+        ((strips[..., 0, :] + strips[..., 1, :]) <= 0).all(axis=-1)
+    )
+    bounds = strips[entry, receiver, subset]
+    bounds[:, 1] *= -1  # back to (lows, highs)
+
+    if desc.wrap:
+        sender, src = _wrap_senders(
+            entries, domains, layout, split_lows, entry, bounds
+        )
+        return entry, receiver, sender, bounds, src
+
     grid = layout.grid
-    pair_copies: Dict[Tuple[int, int], List[StripCopy]] = {}
-
-    for entry in desc.entries:
-        domain = layout.array_domains[entry.array]
-        rank = domain.rank
-        dist_dims = list(layout.distributed_dims(rank))
-        offsets = desc.direction.offsets
-        active = [d for d in dist_dims if offsets[d] != 0]
-        if not active:
-            continue  # purely local shift: no messages
-
-        for receiver in grid.ranks():
-            owned_class = layout.owned(rank, receiver)
-            box = entry.use_region.intersect(owned_class)
-            if box.is_empty:
-                continue
-            needed = box.shifted(desc.direction)
-            for subset in _nonempty_subsets(active):
-                lows, highs = list(needed.lows), list(needed.highs)
-                ok = True
-                for d in range(rank):
-                    if d in subset:
-                        # the overflow strip on the offset's side
-                        if offsets[d] > 0:
-                            lo = max(lows[d], owned_class.highs[d] + 1)
-                            hi = highs[d]
-                        else:
-                            lo = lows[d]
-                            hi = min(highs[d], owned_class.lows[d] - 1)
-                    elif d in dist_dims:
-                        lo = max(lows[d], owned_class.lows[d])
-                        hi = min(highs[d], owned_class.highs[d])
-                    else:
-                        lo, hi = lows[d], highs[d]
-                    if hi < lo:
-                        ok = False
-                        break
-                    lows[d], highs[d] = lo, hi
-                if not ok:
-                    continue
-                strip = Region(
-                    f"<strip:{entry.array}>", tuple(lows), tuple(highs)
-                )
-                if desc.wrap:
-                    sender, src = _wrap_source(
-                        desc, entry, strip, domain, layout
-                    )
-                    pair_copies.setdefault((sender, receiver), []).append(
-                        StripCopy(array=entry.array, box=strip, src_box=src)
-                    )
-                    continue
-                step = _mesh_step(rank, dist_dims, subset, offsets)
-                sender = grid.neighbor(receiver, step)
-                if sender is None:
-                    raise RuntimeFault(
-                        f"transfer {desc.describe()}: strip {strip} for "
-                        f"rank {receiver} has no owning neighbour — "
-                        "layout/semantic inconsistency"
-                    )
-                pair_copies.setdefault((sender, receiver), []).append(
-                    StripCopy(array=entry.array, box=strip)
-                )
-
-    return [
-        Message(sender=s, receiver=r, copies=copies)
-        for (s, r), copies in sorted(pair_copies.items())
-    ]
+    sender = _neighbour_table(grid)[receiver, steps[subset]]
+    if (sender < 0).any():
+        i = int(np.argmax(sender < 0))
+        strip = Region(f"<strip:{entries[entry[i]].array}>", *bounds[i])
+        raise RuntimeFault(
+            f"transfer {desc.describe()}: strip {strip} for "
+            f"rank {receiver[i]} has no owning neighbour — "
+            "layout/semantic inconsistency"
+        )
+    return entry, receiver, sender, bounds, None
 
 
-def _wrap_source(desc, entry, strip: Region, domain: Region, layout):
-    """Source rank and source-coordinate box for a (possibly wrapped)
-    periodic strip: coordinates outside the domain fold back by one
-    domain extent, and the owner of the folded box sends it."""
-    cls = layout.rank_class(domain.rank)
-    lows, highs = list(strip.lows), list(strip.highs)
-    for d in range(domain.rank):
-        extent = domain.highs[d] - domain.lows[d] + 1
-        if (
-            cls.bounding.lows[d] != domain.lows[d]
-            or cls.bounding.highs[d] != domain.highs[d]
-        ) and (lows[d] < domain.lows[d] or highs[d] > domain.highs[d]):
+def _wrap_senders(entries, domains, layout, split_lows, entry, bounds):
+    """Senders and source bounds of periodic strips: coordinates outside
+    the domain fold back by one domain extent, and the owner of the
+    folded box (found by its block along each mesh axis) sends it."""
+    cls = layout.rank_class(domains[0].rank)
+    dom_lo = np.array([dom.lows for dom in domains], dtype=np.int64)
+    dom_hi = np.array([dom.highs for dom in domains], dtype=np.int64)
+    partial = (dom_lo != cls.bounding.lows) | (dom_hi != cls.bounding.highs)
+    dom_lo, dom_hi, partial = dom_lo[entry], dom_hi[entry], partial[entry]
+    lows, highs = bounds[:, 0], bounds[:, 1]
+    unspanned = partial & ((lows < dom_lo) | (highs > dom_hi))
+    extent = dom_hi - dom_lo + 1
+    shift = np.where(
+        highs < dom_lo, extent, np.where(lows > dom_hi, -extent, 0)
+    )
+    src = bounds + shift[:, None, :]
+    src_lo, src_hi = src[:, 0], src[:, 1]
+    escaped = ((src_lo < dom_lo) | (src_hi > dom_hi)).any(axis=1)
+
+    def owner(index):
+        coords = [
+            np.searchsorted(split_lows[i], index[:, d], side="right") - 1
+            for i, d in enumerate(cls.distributed_dims)
+        ]
+        col = coords[1] if len(coords) > 1 else 0
+        return coords[0] * layout.grid.cols + col
+
+    sender = owner(src_lo)
+    faulty = unspanned.any(axis=1) | escaped | (sender != owner(src_hi))
+    if faulty.any():
+        i = int(np.argmax(faulty))
+        name = entries[entry[i]].array
+        if unspanned[i].any():
             raise RuntimeFault(
-                f"wrap transfer of {entry.array!r}: its domain does not "
-                f"span the rank-class layout in dim {d + 1}; periodic "
+                f"wrap transfer of {name!r}: its domain does not "
+                "span the rank-class layout in dim "
+                f"{int(np.argmax(unspanned[i])) + 1}; periodic "
                 "arrays must cover the full distributed extent"
             )
-        if highs[d] < domain.lows[d]:
-            lows[d] += extent
-            highs[d] += extent
-        elif lows[d] > domain.highs[d]:
-            lows[d] -= extent
-            highs[d] -= extent
-    src = Region(f"<wrapsrc:{entry.array}>", tuple(lows), tuple(highs))
-    if not domain.contains(src):
+        src_box = Region(f"<wrapsrc:{name}>", src_lo[i], src_hi[i])
+        if escaped[i]:
+            raise RuntimeFault(
+                f"wrap transfer of {name!r}: folded strip {src_box} still "
+                f"escapes the domain {domains[entry[i]]} — offset too "
+                "large for the mesh"
+            )
         raise RuntimeFault(
-            f"wrap transfer of {entry.array!r}: folded strip {src} still "
-            f"escapes the domain {domain} — offset too large for the mesh"
-        )
-    sender = layout.owner_of(domain.rank, src.lows)
-    sender_hi = layout.owner_of(domain.rank, src.highs)
-    if sender != sender_hi:
-        raise RuntimeFault(
-            f"wrap transfer of {entry.array!r}: strip {src} spans "
+            f"wrap transfer of {name!r}: strip {src_box} spans "
             "processors — shift width exceeds a block"
         )
     return sender, src
-
-
-def _mesh_step(
-    rank: int,
-    dist_dims: List[int],
-    subset: Tuple[int, ...],
-    offsets: Tuple[int, ...],
-) -> Tuple[int, int]:
-    """Mesh offset of the neighbour owning the overflow strip for
-    ``subset`` (receiver -> sender direction)."""
-    step = [0, 0]
-    for mesh_axis, d in enumerate(dist_dims):
-        if d in subset:
-            step[mesh_axis] = 1 if offsets[d] > 0 else -1
-    if rank == 1:
-        return (step[0], 0)
-    return (step[0], step[1])
 
 
 class PlanCache:
@@ -323,8 +461,10 @@ class PlanCache:
     and safe to share within a process; the memo is bounded LRU.
     """
 
-    # sized above one full paper study (~650 distinct plans across the
-    # 4 x 6 matrix at 64 ranks) so sweep cells reuse instead of thrash
+    # sized above one full paper study (646 distinct plans across the
+    # 4 x 6 matrix at 64 ranks) so sweep cells reuse instead of thrash;
+    # a plan holds index arrays and strip bounds (~14 KB at 64 ranks)
+    # until a NUMERIC run builds its message objects
     _GLOBAL_MAX = 1024
     _global: "OrderedDict[Tuple, TransferPlan]" = OrderedDict()
 

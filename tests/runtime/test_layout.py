@@ -87,6 +87,31 @@ class TestRank1:
         assert layout.owner_of(1, (8,)) == grid.rank_of(1, 0)
 
 
+class TestOwnedArrays:
+    """``owned_arrays`` is ``owned`` for every processor at once."""
+
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (2, 3), (5, 1), (3, 3)])
+    def test_rows_match_owned(self, rows, cols):
+        # 3 over 5 mesh rows leaves empty blocks; 10 over 3 is uneven
+        domains = {
+            "A": Region("R", (1, 0), (3, 10)),
+            "U": Region("V", (1, 1, 1), (10, 4, 6)),
+            "L": Region("W", (2,), (9,)),
+        }
+        layout = ProblemLayout(ProcessorGrid(rows, cols), domains)
+        for rank in (1, 2, 3):
+            lows, highs, split_lows = layout.owned_arrays(rank)
+            for p in range(rows * cols):
+                owned = layout.owned(rank, p)
+                assert tuple(lows[p]) == owned.lows
+                assert tuple(highs[p]) == owned.highs
+            splits = layout.rank_class(rank).dim_splits
+            assert [list(s) for s in split_lows] == [
+                [lo for lo, _ in axis] for axis in splits
+            ]
+            assert layout.owned_arrays(rank)[0] is lows  # cached
+
+
 class TestFluffFeasibility:
     def test_unit_fluff_ok(self):
         layout, _ = layout_2d()

@@ -1,13 +1,16 @@
 """Unit tests for transfer plans (message computation)."""
 
+import re
+
 import numpy as np
 import pytest
 
+from repro.errors import RuntimeFault
 from repro.ir.nodes import CommDescriptor, CommEntry
 from repro.lang.regions import Direction, Region
 from repro.runtime.grid import ProcessorGrid
 from repro.runtime.layout import ProblemLayout
-from repro.runtime.transfers import PlanCache, TransferPlan
+from repro.runtime.transfers import PlanCache, TransferPlan, running_sums
 
 
 def make_plan(direction, use_region=None, rows=2, cols=2, n=8, arrays=("A",)):
@@ -20,6 +23,89 @@ def make_plan(direction, use_region=None, rows=2, cols=2, n=8, arrays=("A",)):
         entries=[CommEntry(array=name, use_region=use) for name in arrays],
     )
     return TransferPlan(desc, layout, grid.nprocs), layout
+
+
+def wrap_plan_builder(domains, array, direction, use_region, rows, cols):
+    """A thunk building the wrap (``@@``) plan of one entry of
+    ``array``, laid out with every array of ``domains``."""
+    grid = ProcessorGrid(rows, cols)
+    layout = ProblemLayout(grid, domains)
+    desc = CommDescriptor(
+        direction=direction,
+        entries=[CommEntry(array=array, use_region=use_region)],
+        wrap=True,
+    )
+    return lambda: TransferPlan(desc, layout, grid.nprocs)
+
+
+class TestPlanFaults:
+    """Every fault a plan can raise, with its full text: the descriptor
+    or array, and the first offending strip in (entry, receiver, subset)
+    order."""
+
+    def test_strip_without_owning_neighbour(self):
+        grid = ProcessorGrid(2, 2)
+        domain = Region("R", (1, 1), (8, 8))
+        layout = ProblemLayout(grid, {"A": domain})
+        # reading east of the whole domain: rank 1 (the north-east
+        # block) needs column 9, which no processor owns
+        desc = CommDescriptor(
+            direction=Direction("east", (0, 1)),
+            entries=[CommEntry(array="A", use_region=domain)],
+        )
+        message = (
+            f"transfer {desc.describe()}: strip [1..4, 9..9] for rank 1 "
+            "has no owning neighbour — layout/semantic inconsistency"
+        )
+        with pytest.raises(RuntimeFault, match=re.escape(message)):
+            TransferPlan(desc, layout, grid.nprocs)
+
+    def test_wrap_domain_not_spanning_the_layout(self):
+        # B stops at column 6 while the rank-2 layout runs to column 8:
+        # rank 2's east strip (column 7) lies outside B's domain
+        big = Region("R", (1, 1), (8, 8))
+        small = Region("S", (1, 1), (8, 6))
+        build = wrap_plan_builder(
+            {"A": big, "B": small}, "B", Direction("east", (0, 1)),
+            small, rows=1, cols=4,
+        )
+        message = (
+            "wrap transfer of 'B': its domain does not span the rank-class "
+            "layout in dim 2; periodic arrays must cover the full "
+            "distributed extent"
+        )
+        with pytest.raises(RuntimeFault, match=re.escape(message)):
+            build()
+
+    def test_wrap_folded_strip_escaping_the_domain(self):
+        # an offset of 6 on a 4-wide domain: rank 1's strip (columns
+        # 9..10) folds to 5..6, still outside
+        domain = Region("R", (1, 1), (4, 4))
+        build = wrap_plan_builder(
+            {"A": domain}, "A", Direction("far", (0, 6)),
+            domain, rows=1, cols=2,
+        )
+        message = (
+            "wrap transfer of 'A': folded strip [1..4, 5..6] still escapes "
+            "the domain [1..4, 1..4] — offset too large for the mesh"
+        )
+        with pytest.raises(RuntimeFault, match=re.escape(message)):
+            build()
+
+    def test_wrap_strip_spanning_processors(self):
+        # blocks two columns wide, shift of three: rank 0's strip
+        # (columns 4..5) straddles ranks 1 and 2
+        domain = Region("R", (1, 1), (8, 8))
+        build = wrap_plan_builder(
+            {"A": domain}, "A", Direction("e3", (0, 3)),
+            domain, rows=1, cols=4,
+        )
+        message = (
+            "wrap transfer of 'A': strip [1..8, 4..5] spans processors — "
+            "shift width exceeds a block"
+        )
+        with pytest.raises(RuntimeFault, match=re.escape(message)):
+            build()
 
 
 class TestAxisTransfers:
@@ -198,3 +284,50 @@ class TestCostModelCacheKeys:
         t_base = simulate(program, base, ExecutionMode.TIMING).time
         t_variant = simulate(program, variant, ExecutionMode.TIMING).time
         assert t_variant > t_base
+
+
+class TestRunningSums:
+    """The scalar and batched engines share ``running_sums``, so their
+    agreement cannot catch an error in it: pin it against the
+    sequential per-rank loop, bit for bit."""
+
+    @staticmethod
+    def sequential(values, endpoints, nprocs):
+        cum = np.zeros_like(values)
+        total = np.zeros((len(values), nprocs))
+        for row in range(len(values)):
+            for i, r in enumerate(endpoints):
+                total[row, r] += values[row, i]
+                cum[row, i] = total[row, r]
+        return cum, total
+
+    @pytest.mark.parametrize("rows,cols,offsets", [
+        (3, 3, (1, 1)), (4, 4, (-1, 1)), (2, 2, (0, 1)), (1, 1, (1, 0)),
+    ])
+    def test_matches_sequential_loop_bitwise(self, rows, cols, offsets):
+        plan, _ = make_plan(
+            Direction("d", offsets), rows=rows, cols=cols, n=12, arrays=("A", "B")
+        )
+        rng = np.random.default_rng(7)
+        values = rng.random((5, plan.message_count)) * 1e-5
+        for endpoints in (plan.senders, plan.receivers):
+            cum, total = running_sums(values, endpoints, plan.nprocs)
+            want_cum, want_total = self.sequential(values, endpoints, plan.nprocs)
+            assert np.array_equal(cum, want_cum)
+            assert np.array_equal(total, want_total)
+
+    def test_plan_vectors_match_sequential_loop(self):
+        from repro.machine.params import NetworkParams, PrimitiveCost
+
+        plan, _ = make_plan(Direction("se", (1, 1)), rows=3, cols=3, n=10)
+        prim = PrimitiveCost(
+            "send", fixed=3.3e-6, per_byte=1.7e-9, knee_bytes=24,
+            per_byte_beyond=7.1e-8,
+        )
+        sw = np.array([[prim.sw(int(b)) for b in plan.nbytes]])
+        vecs = plan.prim_vectors(prim, NetworkParams(latency=1e-6, bandwidth=1e8))
+        cum, total = self.sequential(sw, plan.senders, plan.nprocs)
+        assert np.array_equal(vecs.cum_sw, cum[0])
+        assert np.array_equal(vecs.total_sw_by_rank, total[0])
+        _, recv = self.sequential(sw, plan.receivers, plan.nprocs)
+        assert np.array_equal(plan.recv_sw_by_rank(prim), recv[0])
