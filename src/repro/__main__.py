@@ -53,9 +53,10 @@ machine-parameter overrides, and ``--no-fast-path``.
     run the benchmark x experiment matrix over every point through the
     cached engine; prints the scaling report with detected crossovers
     and optionally emits it (``--csv``/``--json``).  ``--set`` pins a
-    machine override at every point; cost-only sweeps evaluate through
-    the batched simulator by default (``--batched``/``--no-batched``
-    to force either path); see ``docs/SWEEPS.md``.
+    machine override at every point.  The engine evaluates the cost
+    variants of each cell (at each processor count) in one batched
+    simulator call, and ``--jobs`` spreads those groups over the worker
+    pool; see ``docs/SWEEPS.md``.
 
 ``frontier``
     The adaptive frontier engine.  ``--refine PATH=LO:HI --tol T``
@@ -495,7 +496,6 @@ def cmd_sweep(args) -> int:
             overrides=pinned or None,
             config_overrides={b: config for b in benches} if config else None,
             fast=False if args.no_fast_path else None,
-            batched=args.batched,
             telemetry=args.telemetry,
             **_engine_kwargs(args),
         )
@@ -1016,11 +1016,6 @@ def main(argv=None) -> int:
     p.add_argument("--library", default=None,
                    help="communication library override (default: each "
                    "key's library)")
-    p.add_argument("--batched", action=argparse.BooleanOptionalAction,
-                   default=None,
-                   help="evaluate each cell's variants in one batched "
-                   "simulate_many call (default: auto when the axes are "
-                   "cost-only; --no-batched keeps the per-job path)")
     p.add_argument("--config", action="append", metavar="NAME=VALUE",
                    help="program config override applied to every benchmark")
     p.add_argument("--csv", default=None, metavar="PATH",

@@ -6,23 +6,22 @@ cacheable.  This package runs it that way:
 
 * :mod:`repro.engine.jobs` — picklable :class:`Job`/:class:`MachineSpec`
   value objects and SHA-256 content fingerprints;
-* :mod:`repro.engine.worker` — job execution with a two-level compile
-  cache (front end once per benchmark, optimizer once per opt level);
+* :mod:`repro.engine.worker` — variant-group execution (one
+  :func:`repro.runtime.simulate_many` call for several cost-only
+  variants, :func:`repro.runtime.simulate` for a lone job) with a
+  two-level compile cache (front end once per benchmark, optimizer once
+  per opt level);
 * :mod:`repro.engine.cache` — the result cache: :class:`DirCache` (the
   ``.repro-cache/`` layout) and :class:`NullCache` (``--no-cache``);
 * :mod:`repro.engine.dispatch` — :func:`dispatch_jobs`, which runs
-  cache misses inline or over a process pool;
+  cache misses group by group, inline or over a process pool;
 * :mod:`repro.engine.core` — :class:`ExperimentEngine` (cache
-  partition + dispatch) and the :func:`run_study` facade;
-* :mod:`repro.engine.batch` — cost-only variant matrices through one
-  :func:`repro.runtime.simulate_many` call per cell, records
-  interchangeable with the scalar worker's.
+  partition + dispatch) and the :func:`run_study` facade.
 
 See ``docs/ENGINE.md`` for the job-matrix model, the result cache, the
 worker pool, and the telemetry schema.
 """
 
-from repro.engine.batch import execute_cell_batched, run_jobs_batched
 from repro.engine.cache import (
     RECORD_SCHEMA,
     CacheBackend,
@@ -38,12 +37,15 @@ from repro.engine.core import (
     StudyResult,
     build_matrix,
     load_telemetry,
-    partition_jobs,
     run_study,
 )
 from repro.engine.dispatch import dispatch_jobs
 from repro.engine.jobs import ENGINE_VERSION, Job, MachineSpec, source_sha
-from repro.engine.worker import clear_compile_cache, execute_job
+from repro.engine.worker import (
+    clear_compile_cache,
+    execute_group,
+    variant_groups,
+)
 
 __all__ = [
     "CacheBackend",
@@ -61,12 +63,10 @@ __all__ = [
     "clear_compile_cache",
     "default_cache_root",
     "dispatch_jobs",
-    "execute_cell_batched",
-    "execute_job",
+    "execute_group",
     "load_telemetry",
     "make_cache",
-    "partition_jobs",
-    "run_jobs_batched",
     "run_study",
     "source_sha",
+    "variant_groups",
 ]

@@ -2,9 +2,11 @@
 
 :class:`ExperimentEngine` turns a list of :class:`~repro.engine.jobs.Job`
 into :class:`JobOutcome` records: each job is first looked up in the
-on-disk result cache by content fingerprint; the misses run through
-:func:`~repro.engine.worker.execute_job`, inline when serial or over a
-``ProcessPoolExecutor`` when ``jobs > 1``.  Outcomes always come back in
+on-disk result cache by content fingerprint; the misses run in variant
+groups through :func:`~repro.engine.worker.execute_group` (one batched
+:func:`repro.simulate_many` call for several cost-only variants of one
+cell), inline when serial or over a ``ProcessPoolExecutor`` when
+``jobs > 1``.  Outcomes always come back in
 submission order regardless of completion order, which is what makes
 ``--jobs 4`` byte-identical to a serial run.
 
@@ -69,32 +71,6 @@ class JobOutcome:
         )
 
 
-def partition_jobs(
-    cache: CacheBackend, jobs: Sequence[Job]
-) -> Tuple[List[Optional[JobOutcome]], List[Tuple[int, Job, str]]]:
-    """Split a job list against the result cache: a sparse outcome list
-    with the hits filled in, plus the ``(index, job, fingerprint)``
-    misses still to dispatch.  This is the one place the engine-level
-    ``engine.result_cache.hit|miss`` counters are emitted — every
-    execution path (per-job, batched) goes through it."""
-    outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
-    misses: List[Tuple[int, Job, str]] = []
-    trace = obs.active_trace()
-    for i, job in enumerate(jobs):
-        fp = job.fingerprint()
-        record = cache.get(fp)
-        if record is not None:
-            obs.add("engine.result_cache.hit")
-            record = dict(record, cache_hit=True)
-            if trace is not None:
-                record["trace"] = trace
-            outcomes[i] = JobOutcome(job=job, record=record, cached=True)
-        else:
-            obs.add("engine.result_cache.miss")
-            misses.append((i, job, fp))
-    return outcomes, misses
-
-
 class ExperimentEngine:
     """Runs jobs through the result cache, dispatching the misses.
 
@@ -130,12 +106,25 @@ class ExperimentEngine:
             workers=self.jobs or 1,
             cache=self.cache.kind,
         ):
-            outcomes, misses = partition_jobs(self.cache, jobs)
+            outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
+            misses: List[Tuple[int, Job, str]] = []
+            trace = obs.active_trace()
+            for i, job in enumerate(jobs):
+                fp = job.fingerprint()
+                record = self.cache.get(fp)
+                if record is not None:
+                    obs.add("engine.result_cache.hit")
+                    record = dict(record, cache_hit=True)
+                    if trace is not None:
+                        record["trace"] = trace
+                    outcomes[i] = JobOutcome(job=job, record=record, cached=True)
+                else:
+                    obs.add("engine.result_cache.miss")
+                    misses.append((i, job, fp))
             if misses:
                 todo = [job for _, job, _ in misses]
                 records = dispatch_jobs(todo, self.jobs)
                 pid = os.getpid()
-                trace = obs.active_trace()
                 for (i, job, fp), record in zip(misses, records):
                     self.cache.put(fp, record)
                     if trace is not None:

@@ -1,11 +1,13 @@
 """The dispatch step: how a list of cache-missing jobs gets executed.
 
-:func:`dispatch_jobs` runs them inline when serial and through
+:func:`dispatch_jobs` splits the jobs into variant groups
+(:func:`~repro.engine.worker.variant_groups`) and runs each group through
+:func:`~repro.engine.worker.execute_group` — inline when serial, through
 ``ProcessPoolExecutor.map`` with an amortizing chunksize when
 ``workers > 1``.  Records come back in submission order, which is what
 keeps ``--jobs 4`` byte-identical to a serial run; fingerprints and
 record schemas are untouched by construction (the same
-:func:`~repro.engine.worker.execute_job` produces every record).
+:func:`~repro.engine.worker.execute_group` produces every record).
 """
 
 from __future__ import annotations
@@ -17,24 +19,15 @@ from repro.obs import core as obs
 from repro.obs import distributed
 
 from repro.engine.jobs import Job
-from repro.engine.worker import execute_job
+from repro.engine.worker import execute_group, job_failure, variant_groups
 
 __all__ = ["dispatch_jobs"]
-
-
-def _job_failure(job: Job, exc: BaseException) -> ExperimentError:
-    """Name the job that died — a bare worker traceback loses which cell
-    of a 24-job matrix failed."""
-    return ExperimentError(
-        f"job failed for ({job.benchmark}, {job.experiment}, "
-        f"{job.effective_library()}): {exc}"
-    )
 
 
 def _pool_kwargs() -> dict:
     """Extra ``ProcessPoolExecutor`` kwargs: when the coordinator is
     tracing, initialize every pool worker with the run's trace context
-    so per-job captures stitch under it (no-op kwargs otherwise — the
+    so per-group captures stitch under it (no-op kwargs otherwise — the
     disabled path constructs the pool exactly as before)."""
     context = distributed.propagation_context()
     if context is None:
@@ -46,40 +39,55 @@ def _pool_kwargs() -> dict:
 
 
 def dispatch_jobs(jobs: Sequence[Job], workers: Optional[int] = None) -> List[dict]:
-    """Execute ``jobs`` — inline, or ``pool.map`` over ``workers``
-    processes — and return one record per job in submission order."""
+    """Execute ``jobs`` group by group — inline, or ``pool.map`` over
+    ``workers`` processes — and return one record per job in submission
+    order."""
     if not jobs:
         return []
     obs.add("engine.dispatch.jobs", len(jobs))
-    if workers and workers > 1 and len(jobs) > 1:
+    indices = variant_groups(jobs)
+    groups = [[jobs[i] for i in group] for group in indices]
+    if workers and workers > 1 and len(groups) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         # Larger chunks amortize pickling/IPC; the /4 keeps enough
-        # chunks in flight to balance uneven job costs.
-        chunksize = max(1, len(jobs) // (workers * 4))
+        # chunks in flight to balance uneven group costs.
+        chunksize = max(1, len(groups) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers, **_pool_kwargs()) as pool:
-            return _drain(pool.map(execute_job, jobs, chunksize=chunksize), jobs)
-    # execute_job names the failing job itself
-    return [execute_job(job) for job in jobs]
+            results = _drain(
+                pool.map(execute_group, groups, chunksize=chunksize), groups
+            )
+    else:
+        # execute_group names the failing group itself
+        results = [execute_group(group) for group in groups]
+    records: List[dict] = [None] * len(jobs)  # type: ignore[list-item]
+    for group, group_records in zip(indices, results):
+        for i, record in zip(group, group_records):
+            records[i] = record
+    return records
 
 
-def _drain(results: Iterable[dict], todo: Sequence[Job]) -> List[dict]:
+def _drain(
+    results: Iterable[List[dict]], groups: Sequence[Sequence[Job]]
+) -> List[List[dict]]:
     """Collect pool results, re-raising the first failure with a job's
-    identity.  :func:`~repro.engine.worker.execute_job` already names the
-    exact job in its :class:`ExperimentError`; this catch covers failures
+    identity.  :func:`~repro.engine.worker.execute_group` already names
+    its group in its :class:`ExperimentError`; this catch covers failures
     the worker could not wrap (a killed process, an unpicklable record),
-    blaming the first undelivered job (``pool.map`` yields in submission
-    order, so that is the count of records collected so far)."""
-    records: List[dict] = []
+    blaming the first undelivered group (``pool.map`` yields in
+    submission order, so that is the count of groups collected so
+    far)."""
+    collected: List[List[dict]] = []
     it = iter(results)
     while True:
         try:
-            record = next(it)
+            records = next(it)
         except StopIteration:
-            return records
+            return collected
         except ExperimentError:
             raise
         except Exception as exc:
-            raise _job_failure(todo[len(records)], exc) from exc
-        distributed.absorb(record)
-        records.append(record)
+            raise job_failure(groups[len(collected)][0], exc) from exc
+        for record in records:
+            distributed.absorb(record)
+        collected.append(records)

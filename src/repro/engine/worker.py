@@ -1,8 +1,12 @@
 """Job execution and the per-process compile cache.
 
-:func:`execute_job` is the function the engine submits — inline for
+:func:`execute_group` is the function the engine submits — inline for
 serial runs, through a ``ProcessPoolExecutor`` for parallel ones — so it
 must be a module-level importable and everything it touches picklable.
+Its unit is a *variant group* (:func:`variant_groups`): the cache-missing
+jobs that differ only in machine-cost overrides.  A group of several
+TIMING variants is one batched :func:`repro.simulate_many` call; every
+other job runs alone through :func:`repro.simulate`.
 
 The compile cache is two-level, exploiting the structure of the paper's
 study:
@@ -32,17 +36,18 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.comm import OptimizationConfig, optimize_with_report
 from repro.errors import ExperimentError
 from repro.experiments_registry import experiment_spec
 from repro.ir.nodes import IRProgram
+from repro.machine import pack_variant_specs
 from repro.obs import core as obs
 from repro.obs import distributed
 from repro.programs import benchmark_source
 from repro.programs.common import compile_source
-from repro.runtime import ExecutionMode, SimOptions, simulate
+from repro.runtime import ExecutionMode, SimOptions, simulate, simulate_many
 
 from repro.engine.cache import RECORD_SCHEMA
 from repro.engine.jobs import ConfigValue, Job, source_sha
@@ -109,110 +114,186 @@ def compile_cached(
     return program, report, compile_s, optimize_s, lowered_hit, False
 
 
-def execute_job(job: Job) -> dict:
-    """Run one job and return its JSON-safe record (result + telemetry).
+def job_failure(job: Job, exc: BaseException) -> ExperimentError:
+    """Name the job that died — a bare worker traceback loses which cell
+    of a 24-job matrix failed."""
+    return ExperimentError(
+        f"job failed for ({job.benchmark}, {job.experiment}, "
+        f"{job.effective_library()}): {exc}"
+    )
 
-    The record is exactly what the result cache stores and what
+
+def variant_groups(jobs: Sequence[Job]) -> List[List[int]]:
+    """Indices of ``jobs`` split into variant groups, in order of first
+    appearance.
+
+    A variant group is the TIMING jobs (not forced onto the interpreted
+    walk by ``fast=False``) equal in everything but
+    ``MachineSpec.overrides``: they share one compiled program and one
+    machine shape, so :func:`execute_group` evaluates them in one
+    batched call.  Every other job is a group of one.
+    """
+    groups: Dict[tuple, List[int]] = {}
+    for i, job in enumerate(jobs):
+        if job.mode != ExecutionMode.TIMING.value or job.fast is False:
+            groups[(i,)] = [i]
+            continue
+        key = (
+            job.benchmark,
+            job.experiment,
+            job.config,
+            job.fast,
+            job.machine.name,
+            job.machine.nprocs,
+            job.effective_library(),
+        )
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def execute_group(jobs: Sequence[Job]) -> List[dict]:
+    """Run one variant group and return one JSON-safe record (result +
+    telemetry) per job, in input order.
+
+    A group of two or more jobs is one :func:`repro.simulate_many` call,
+    each variant a row; its records carry ``"batched": True``.  A group
+    of one runs through :func:`repro.simulate`.  Batched rows are
+    bit-identical to the scalar fast path, so both kinds of record share
+    one result cache.
+
+    A record is exactly what the result cache stores and what
     :class:`~repro.engine.core.JobOutcome` reconstructs an
     :class:`~repro.experiments_registry.ExperimentResult` from — floats
     survive the JSON round trip bit-exactly, so cached and fresh runs
     render byte-identical tables.
 
     Failures are re-raised as :class:`~repro.errors.ExperimentError`
-    naming the job, so a pooled study reports which matrix cell died
-    instead of a bare worker traceback.
+    naming the group's (benchmark, experiment, library), so a pooled
+    study reports which matrix cell died instead of a bare worker
+    traceback.
 
     When this process is a pool worker of a *tracing* coordinator (see
-    :func:`repro.obs.distributed.worker_init`), the job runs under a
-    per-job capture recorder and the record carries the captured
+    :func:`repro.obs.distributed.worker_init`), the group runs under a
+    capture recorder and the first record carries the captured
     spans/metrics home under the ``"obs"`` key — popped by
     :func:`~repro.engine.dispatch.dispatch_jobs` before the record
     reaches the cache or the caller.
     """
     capture = distributed.begin_job_capture()
     try:
-        record = _execute_job(job)
-    except ExperimentError:
-        if capture is not None:
-            capture.finish()
-        raise
+        records = _execute_group(jobs)
     except Exception as exc:
         if capture is not None:
             capture.finish()
-        raise ExperimentError(
-            f"job failed for ({job.benchmark}, {job.experiment}, "
-            f"{job.effective_library()}): {exc}"
-        ) from exc
+        if isinstance(exc, ExperimentError):
+            raise
+        raise job_failure(jobs[0], exc) from exc
     if capture is not None:
-        record["obs"] = capture.finish()
-    return record
+        records[0]["obs"] = capture.finish()
+    return records
 
 
-def _execute_job(job: Job) -> dict:
+def _execute_group(jobs: Sequence[Job]) -> List[dict]:
     started = time.time()
     t_total = time.perf_counter()
-    with obs.span(
-        "job",
-        benchmark=job.benchmark,
-        experiment=job.experiment,
-        machine=job.machine.name,
-        nprocs=job.machine.nprocs,
-        variant=job.machine.variant,
-    ):
-        spec = experiment_spec(job.experiment)
-        machine = job.machine.build(spec.library)
+    job0 = jobs[0]
+    batched = len(jobs) > 1
+    fields = {
+        "benchmark": job0.benchmark,
+        "experiment": job0.experiment,
+        "machine": job0.machine.name,
+        "nprocs": job0.machine.nprocs,
+    }
+    if batched:
+        name, fields["variants"] = "group", len(jobs)
+    else:
+        name, fields["variant"] = "job", job0.machine.variant
+    with obs.span(name, **fields):
+        spec = experiment_spec(job0.experiment)
+        if batched:
+            # content-keyed packing memo: every group of a sweep shares
+            # the same variant list, so the (V,)-stacked cost tensors
+            # are built once per sweep instead of once per group
+            matrix = pack_variant_specs(
+                job0.machine.name,
+                job0.machine.nprocs,
+                job0.effective_library(),
+                [job.machine.overrides for job in jobs],
+            )
+            library = matrix.base.library
+        else:
+            machine = job0.machine.build(spec.library)
+            library = machine.library
 
-        merged = job.merged_config()
+        merged = job0.merged_config()
         config_items = tuple(sorted(merged.items()))
         program, pipeline, compile_s, optimize_s, lowered_hit, optimized_hit = (
-            compile_cached(job.benchmark, config_items, spec.opt)
+            compile_cached(job0.benchmark, config_items, spec.opt)
         )
 
+        options = SimOptions(mode=ExecutionMode(job0.mode), fast=job0.fast)
         t0 = time.perf_counter()
-        result = simulate(
-            program,
-            machine,
-            options=SimOptions(mode=ExecutionMode(job.mode), fast=job.fast),
-        )
+        if batched:
+            run = simulate_many(program, matrix, options=options).run(
+                program.name
+            )
+            times = run.times
+        else:
+            run = simulate(program, machine, options=options)
+            times = (run.time,)
         simulate_s = time.perf_counter() - t0
 
-    return {
-        "schema": RECORD_SCHEMA,
-        "fingerprint": job.fingerprint(),
-        "benchmark": job.benchmark,
-        "experiment": job.experiment,
-        "machine": job.machine.name,
-        "nprocs": job.machine.nprocs,
-        # swept-variant identity: "base" plus {} for the calibrated
-        # machines (readers of pre-sweep records must .get these)
-        "machine_variant": job.machine.variant,
-        "machine_overrides": {k: v for k, v in job.machine.overrides},
-        "library": machine.library,
-        "mode": job.mode,
-        "config": {str(k): v for k, v in merged.items()},
-        "result": {
-            "static_count": int(result.static_comm_count),
-            "dynamic_count": int(result.dynamic_comm_count),
-            "execution_time": float(result.time),
-            "total_messages": int(result.instrument.total_messages),
-            "total_bytes": int(result.instrument.total_bytes),
-            "warnings": list(result.warnings),
-            "fastpath": (
-                result.fastpath.as_dict() if result.fastpath is not None else None
-            ),
-        },
-        "pipeline": pipeline,
-        "timings": {
-            "compile_s": compile_s,
-            "optimize_s": optimize_s,
-            "simulate_s": simulate_s,
-            "total_s": time.perf_counter() - t_total,
-        },
-        "compile_cache": {
-            "lowered_hit": lowered_hit,
-            "optimized_hit": optimized_hit,
-        },
-        "cache_hit": False,
-        "worker_pid": os.getpid(),
-        "started_at": started,
-    }
+    # the group's shared phases are attributed per record: simulation
+    # and total wall time split evenly, compile telemetry on the first
+    # record (the later variants would have been compile-cache hits
+    # had they run one by one)
+    n = len(jobs)
+    total_s = time.perf_counter() - t_total
+    records = []
+    for v, job in enumerate(jobs):
+        first = v == 0
+        record = {
+            "schema": RECORD_SCHEMA,
+            "fingerprint": job.fingerprint(),
+            "benchmark": job.benchmark,
+            "experiment": job.experiment,
+            "machine": job.machine.name,
+            "nprocs": job.machine.nprocs,
+            # swept-variant identity: "base" plus {} for the calibrated
+            # machines (readers of pre-sweep records must .get these)
+            "machine_variant": job.machine.variant,
+            "machine_overrides": {k: val for k, val in job.machine.overrides},
+            "library": library,
+            "mode": job.mode,
+            "config": {str(k): val for k, val in merged.items()},
+            "result": {
+                "static_count": int(run.static_comm_count),
+                "dynamic_count": int(run.dynamic_comm_count),
+                "execution_time": float(times[v]),
+                "total_messages": int(run.instrument.total_messages),
+                "total_bytes": int(run.instrument.total_bytes),
+                "warnings": list(run.warnings),
+                "fastpath": (
+                    run.fastpath.as_dict() if run.fastpath is not None else None
+                ),
+            },
+            "pipeline": pipeline,
+            "timings": {
+                "compile_s": compile_s if first else 0.0,
+                "optimize_s": optimize_s if first else 0.0,
+                "simulate_s": simulate_s / n,
+                "total_s": total_s / n,
+            },
+            "compile_cache": {
+                "lowered_hit": lowered_hit if first else True,
+                "optimized_hit": optimized_hit if first else True,
+            },
+            "cache_hit": False,
+        }
+        if batched:
+            record["batched"] = True
+        record["worker_pid"] = os.getpid()
+        record["started_at"] = started
+        records.append(record)
+    return records
+

@@ -60,10 +60,9 @@ from repro.ironman.calls import CallKind
 from repro.machine.params import Machine, SyncKind
 from repro.machine.variants import PrimColumns, VariantMatrix, pack_variants
 from repro.obs import core as obs
-from repro.runtime.grid import ProcessorGrid
+from repro.runtime.executor import _ProgramSetup
 from repro.runtime.instrument import Instrumentation
 from repro.runtime.interp import ScalarEvaluator
-from repro.runtime.layout import ProblemLayout
 from repro.runtime.options import ExecutionMode, SimOptions
 from repro.runtime.schedule import (
     CompiledSchedule,
@@ -72,7 +71,7 @@ from repro.runtime.schedule import (
     _Lowerer,
     _Runner,
 )
-from repro.runtime.transfers import PlanCache, TransferPlan, running_sums
+from repro.runtime.transfers import TransferPlan, running_sums
 
 __all__ = [
     "BatchEvaluator",
@@ -453,120 +452,28 @@ class _BatchLowerer(_Lowerer):
 
 
 # ---------------------------------------------------------------------------
-# the batched simulation driver
-# ---------------------------------------------------------------------------
-
-
-class _BatchSimulation:
-    """TIMING-only batched mirror of ``executor._Simulation`` (duck-typed
-    for :class:`_Lowerer`).
-
-    When a :class:`BatchEvaluator` is passed as ``shared``, the
-    variant-independent state — processor grid, problem layout, plan
-    cache, and per-region element vectors — is borrowed from it instead
-    of rebuilt; all of it is pure geometry, so sharing cannot change a
-    single float of the result.
-    """
-
-    def __init__(
-        self,
-        program: ir.IRProgram,
-        matrix: VariantMatrix,
-        repeat_cap: Optional[int],
-        shared: Optional["BatchEvaluator"] = None,
-    ) -> None:
-        self.program = program
-        self.matrix = matrix
-        self.machine = matrix.base
-        self.repeat_cap = repeat_cap
-        if shared is not None:
-            self.grid = shared.grid
-            self.layout = shared.layout
-            self.plans = shared.plans
-            self._elems_cache = shared._elems_cache
-            self._static_count = shared.static_count
-        else:
-            rows, cols = self.machine.grid_shape
-            self.grid = ProcessorGrid(rows, cols)
-            domains = {name: dom for name, (dom, _) in program.arrays.items()}
-            self.layout = ProblemLayout(self.grid, domains)
-            fluff = {name: f for name, (_, f) in program.arrays.items()}
-            self.layout.check_fluff_feasible(fluff)
-            self.plans = PlanCache(self.layout, self.machine.nprocs)
-            self._elems_cache: Dict[Tuple, np.ndarray] = {}
-            self._static_count = static_comm_count(program)
-        self.instrument = Instrumentation(self.machine.nprocs)
-        self.timing = BatchTimingEngine(matrix, self.instrument)
-        self.scalars: Dict[str, Union[int, float, bool]] = dict(
-            program.config_values
-        )
-        for name in program.scalars:
-            self.scalars[name] = 0.0
-        self.scalar_eval = ScalarEvaluator(self.scalars, self._timing_reduce)
-
-    def _timing_reduce(self, expr: ir.IRReduce) -> float:
-        # same message as the scalar TIMING path, so warnings stay
-        # bit-identical between batched and per-variant runs
-        self.instrument.warn(
-            "TIMING mode evaluates reductions as 0.0; control flow "
-            "depending on reduced values is unreliable — run NUMERIC"
-        )
-        return 0.0
-
-    def _elements(self, region) -> np.ndarray:
-        key = (region.lows, region.highs)
-        vec = self._elems_cache.get(key)
-        if vec is None:
-            vec = np.fromiter(
-                (
-                    region.intersect(self.layout.owned(region.rank, p)).size
-                    for p in self.grid.ranks()
-                ),
-                dtype=np.float64,
-                count=self.machine.nprocs,
-            )
-            self._elems_cache[key] = vec
-        return vec
-
-    def run(self) -> "BatchRun":
-        lowerer = _BatchLowerer(self)
-        schedule = CompiledSchedule(
-            lowerer.lower_body(self.program.body), lowerer.runner
-        )
-        stats = schedule.execute()
-        self.timing.assert_quiescent()
-        scalars_out = {
-            k: v for k, v in self.scalars.items() if k in self.program.scalars
-        }
-        return BatchRun(
-            program_name=self.program.name,
-            times=self.timing.elapsed(),
-            clocks=self.timing.absolute_clocks(),
-            static_comm_count=self._static_count,
-            dynamic_comm_count=self.instrument.dynamic_comm_count,
-            instrument=self.instrument,
-            scalars=scalars_out,
-            fastpath=stats,
-        )
-
-
-# ---------------------------------------------------------------------------
 # incremental-append evaluation
 # ---------------------------------------------------------------------------
 
 
-class BatchEvaluator:
-    """Incremental-append front-end over the batched TIMING simulator.
+class BatchEvaluator(_ProgramSetup):
+    """The batched TIMING simulator of one ``(program, base machine)``
+    pair, built for incremental appends.
 
-    Builds the variant-independent state of one ``(program, base
-    machine)`` pair once — processor grid, problem layout (with fluff
-    feasibility checked), plan cache, per-region element vectors, static
-    comm count — then evaluates any number of variant batches against
-    it.  Refinement drivers and calibration loops call
-    :meth:`evaluate` once per round; only the per-variant cost matrices
-    and the timing engine are rebuilt, so appending a handful of new
-    variants costs a fraction of a cold :func:`simulate_many` call
-    while every returned row stays bit-identical to one.
+    Builds the variant-independent state once — the shared
+    :class:`~repro.runtime.executor._ProgramSetup` geometry (processor
+    grid, problem layout with fluff feasibility checked, plan cache,
+    per-region element vectors) plus the static comm count — then
+    evaluates any number of variant batches against it.  Refinement
+    drivers and calibration loops call :meth:`evaluate` once per round;
+    only the per-variant cost matrices and the timing engine are
+    rebuilt, so appending a handful of new variants costs a fraction of
+    a cold :func:`simulate_many` call while every returned row stays
+    bit-identical to one.
+
+    During :meth:`evaluate` the evaluator is also the simulation the
+    :class:`_BatchLowerer` reads (``timing``, ``instrument``,
+    ``scalars``, ``scalar_eval`` are that run's state).
     """
 
     def __init__(
@@ -576,24 +483,18 @@ class BatchEvaluator:
         *,
         repeat_cap: Optional[int] = None,
     ) -> None:
-        self.program = program
-        self.base = base
-        self.repeat_cap = repeat_cap
-        rows, cols = base.grid_shape
-        self.grid = ProcessorGrid(rows, cols)
-        domains = {name: dom for name, (dom, _) in program.arrays.items()}
-        self.layout = ProblemLayout(self.grid, domains)
-        fluff = {name: f for name, (_, f) in program.arrays.items()}
-        self.layout.check_fluff_feasible(fluff)
-        self.plans = PlanCache(self.layout, base.nprocs)
-        self._elems_cache: Dict[Tuple, np.ndarray] = {}
+        super().__init__(program, base, repeat_cap)
         self.static_count = static_comm_count(program)
         self.calls = 0
         self.variants_evaluated = 0
 
+    @property
+    def base(self) -> Machine:
+        return self.machine
+
     def _check_base(self, other: Machine) -> None:
         base = self.base
-        for attr in ("name", "nprocs", "grid_shape", "library"):
+        for attr in ("name", "nprocs", "grid_shape", "library", "binding"):
             mine, theirs = getattr(base, attr), getattr(other, attr)
             if mine != theirs:
                 raise RuntimeFault(
@@ -612,9 +513,28 @@ class BatchEvaluator:
             else pack_variants(variants)
         )
         self._check_base(matrix.base)
-        run = _BatchSimulation(
-            self.program, matrix, self.repeat_cap, shared=self
-        ).run()
+        self.instrument = Instrumentation(self.machine.nprocs)
+        self.timing = BatchTimingEngine(matrix, self.instrument)
+        self.scalars = self._fresh_scalars()
+        self.scalar_eval = ScalarEvaluator(self.scalars, self._timing_reduce)
+        lowerer = _BatchLowerer(self)
+        schedule = CompiledSchedule(
+            lowerer.lower_body(self.program.body), lowerer.runner
+        )
+        stats = schedule.execute()
+        self.timing.assert_quiescent()
+        run = BatchRun(
+            program_name=self.program.name,
+            times=self.timing.elapsed(),
+            clocks=self.timing.absolute_clocks(),
+            static_comm_count=self.static_count,
+            dynamic_comm_count=self.instrument.dynamic_comm_count,
+            instrument=self.instrument,
+            scalars=self._scalars_out(),
+            fastpath=stats,
+        )
+        # cached evaluators outlive the run: drop its (V, P) clock state
+        self.timing = None
         self.calls += 1
         self.variants_evaluated += matrix.nvariants
         return run
@@ -639,6 +559,7 @@ def batch_evaluator(
         base.nprocs,
         base.grid_shape,
         base.library,
+        base.binding,
         repeat_cap,
     )
     ev = _evaluators.get(key)

@@ -92,59 +92,48 @@ class RunResult:
         return self.instrument.warnings
 
 
-class _Simulation:
+class _ProgramSetup:
+    """The machine-shape setup of one program, shared by the scalar
+    simulation and :class:`~repro.runtime.batch.BatchEvaluator`:
+    processor grid, problem layout (fluff feasibility checked), transfer
+    plan cache and per-region element-count vectors.  All of it is pure
+    geometry — no cost parameter enters — so the batched evaluator
+    builds it once and reuses it for every variant batch.
+
+    Subclasses provide ``instrument`` (read by :meth:`_timing_reduce`).
+    """
+
     def __init__(
-        self,
-        program: ir.IRProgram,
-        machine: Machine,
-        mode: ExecutionMode,
-        repeat_cap: Optional[int],
-        trace_rank: Optional[int] = None,
-        fast: bool = False,
+        self, program: ir.IRProgram, machine: Machine, repeat_cap: Optional[int]
     ) -> None:
         self.program = program
         self.machine = machine
-        self.mode = mode
         self.repeat_cap = repeat_cap
-        self.fast = fast
-        self._alias_cache: Dict[int, bool] = {}
         rows, cols = machine.grid_shape
         self.grid = ProcessorGrid(rows, cols)
         domains = {name: dom for name, (dom, _) in program.arrays.items()}
         self.layout = ProblemLayout(self.grid, domains)
         fluff = {name: f for name, (_, f) in program.arrays.items()}
         self.layout.check_fluff_feasible(fluff)
-        self.instrument = Instrumentation(machine.nprocs)
-        self.timing = TimingEngine(machine, self.instrument, trace_rank=trace_rank)
         self.plans = PlanCache(self.layout, machine.nprocs)
         self._elems_cache: Dict[Tuple, np.ndarray] = {}
-        self._payloads: Dict[int, List[List[np.ndarray]]] = {}
 
-        # replicated scalar environment: configs + scalars (zeroed) +
-        # loop variables as they come into scope
-        self.scalars: Dict[str, Union[int, float, bool]] = dict(
-            program.config_values
+    def _fresh_scalars(self) -> Dict[str, Union[int, float, bool]]:
+        """The replicated scalar environment a run starts from: configs
+        + scalars (zeroed); loop variables join as they come into
+        scope."""
+        scalars: Dict[str, Union[int, float, bool]] = dict(
+            self.program.config_values
         )
-        for name in program.scalars:
-            self.scalars[name] = 0.0
+        for name in self.program.scalars:
+            scalars[name] = 0.0
+        return scalars
 
-        self.arrays: Optional[Dict[str, DistArray]] = None
-        if mode is ExecutionMode.NUMERIC:
-            self.arrays = {
-                name: DistArray(name, dom, f, self.layout)
-                for name, (dom, f) in program.arrays.items()
-            }
-            self.parallel = ParallelEvaluator(
-                self.arrays, self.scalars, self.layout
-            )
-            self.scalar_eval = ScalarEvaluator(
-                self.scalars, self.parallel.reduce
-            )
-        else:
-            self.parallel = None
-            self.scalar_eval = ScalarEvaluator(self.scalars, self._timing_reduce)
+    def _scalars_out(self) -> Dict[str, float]:
+        return {
+            k: v for k, v in self.scalars.items() if k in self.program.scalars
+        }
 
-    # ------------------------------------------------------------------
     def _timing_reduce(self, expr: ir.IRReduce) -> float:
         self.instrument.warn(
             "TIMING mode evaluates reductions as 0.0; control flow "
@@ -169,6 +158,42 @@ class _Simulation:
             self._elems_cache[key] = vec
         return vec
 
+
+class _Simulation(_ProgramSetup):
+    def __init__(
+        self,
+        program: ir.IRProgram,
+        machine: Machine,
+        mode: ExecutionMode,
+        repeat_cap: Optional[int],
+        trace_rank: Optional[int] = None,
+        fast: bool = False,
+    ) -> None:
+        super().__init__(program, machine, repeat_cap)
+        self.mode = mode
+        self.fast = fast
+        self._alias_cache: Dict[int, bool] = {}
+        self.instrument = Instrumentation(machine.nprocs)
+        self.timing = TimingEngine(machine, self.instrument, trace_rank=trace_rank)
+        self._payloads: Dict[int, List[List[np.ndarray]]] = {}
+        self.scalars = self._fresh_scalars()
+
+        self.arrays: Optional[Dict[str, DistArray]] = None
+        if mode is ExecutionMode.NUMERIC:
+            self.arrays = {
+                name: DistArray(name, dom, f, self.layout)
+                for name, (dom, f) in program.arrays.items()
+            }
+            self.parallel = ParallelEvaluator(
+                self.arrays, self.scalars, self.layout
+            )
+            self.scalar_eval = ScalarEvaluator(
+                self.scalars, self.parallel.reduce
+            )
+        else:
+            self.parallel = None
+            self.scalar_eval = ScalarEvaluator(self.scalars, self._timing_reduce)
+
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
         fast_stats: Optional[FastPathStats] = None
@@ -177,11 +202,6 @@ class _Simulation:
         else:
             self._exec_body(self.program.body)
         self.timing.assert_quiescent()
-        scalars_out = {
-            k: v
-            for k, v in self.scalars.items()
-            if k in self.program.scalars
-        }
         return RunResult(
             program_name=self.program.name,
             machine_name=self.machine.name,
@@ -194,7 +214,7 @@ class _Simulation:
             dynamic_comms=self.instrument.dynamic_comms.copy(),
             static_comm_count=static_comm_count(self.program),
             instrument=self.instrument,
-            scalars=scalars_out,
+            scalars=self._scalars_out(),
             arrays=self.arrays,
             trace=self.timing.trace if self.timing.trace_rank is not None else None,
             trace_rank=self.timing.trace_rank,

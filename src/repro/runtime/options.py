@@ -1,10 +1,9 @@
 """Simulation options: the execution mode and the run-shaping knobs.
 
 :class:`SimOptions` is the single options surface shared by
-:func:`repro.simulate` and :func:`repro.simulate_many`.  ``simulate``
-still accepts the historical bare keyword arguments (``repeat_cap``,
-``trace_rank``, ``fast``) behind a one-release deprecation shim;
-``simulate_many`` accepts *only* an options object.
+:func:`repro.simulate` and :func:`repro.simulate_many`.  Neither takes
+``repeat_cap``, ``trace_rank`` or ``fast`` as bare keyword arguments;
+``simulate`` also accepts the execution mode positionally.
 """
 
 from __future__ import annotations

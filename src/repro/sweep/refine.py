@@ -285,7 +285,6 @@ def run_refined_sweep(
                 keys=keys,
                 machine=base,
                 config_overrides=config_overrides,
-                batched=None,
                 jobs=jobs,
                 cache=cache,
                 cache_dir=cache_dir,

@@ -13,10 +13,13 @@ import json
 
 import pytest
 
+from repro import run_study
 from repro.analysis.composition import (
     COMPOSITION_SCHEMA,
     DEFAULT_VARIANTS,
     CompositionCell,
+    CompositionResult,
+    _derive_cell,
     composition_rows,
     format_composition_report,
     run_composition,
@@ -26,6 +29,7 @@ from repro.analysis.composition import (
 from repro.engine import MachineSpec, load_telemetry
 from repro.errors import ExperimentError
 from repro.experiments_registry import COMPOSITION_KEYS, EXPERIMENT_KEYS
+from repro.machine.variants import describe_overrides
 
 BENCHES = ("jacobi", "gen_0")
 CONFIGS = {
@@ -112,6 +116,45 @@ def test_cell_accessor(study):
     with pytest.raises(ExperimentError, match="no composition cell"):
         study.cell("jacobi", "nonesuch")
     assert set(study.factors) == set(BENCHES)
+
+
+def test_grid_batches_and_matches_per_variant_studies(study):
+    """Each (program, key) cell's variants run as one batched group, and
+    the table equals one built from per-variant ``run_study`` times."""
+    assert all(o.record.get("batched") for o in study.outcomes)
+    reference = []
+    for overrides in study.variants:
+        spec = MachineSpec.coerce("t3d", nprocs=4, overrides=dict(overrides))
+        per_variant = run_study(
+            benchmarks=BENCHES,
+            keys=COMPOSITION_KEYS,
+            machine=spec,
+            nprocs=4,
+            config_overrides=CONFIGS,
+            cache=False,
+        )
+        assert not any(o.record.get("batched") for o in per_variant.outcomes)
+        for bench in BENCHES:
+            times = {
+                r.experiment: r.execution_time for r in per_variant[bench]
+            }
+            reference.append(
+                _derive_cell(
+                    bench, spec, spec.variant,
+                    describe_overrides(dict(overrides)), times,
+                )
+            )
+    assert study.cells == reference
+    rebuilt = CompositionResult(
+        cells=reference,
+        benchmarks=study.benchmarks,
+        machine=study.machine,
+        nprocs=study.nprocs,
+        variants=study.variants,
+    )
+    assert format_composition_report(rebuilt) == format_composition_report(
+        study
+    )
 
 
 def test_report_renders(study):

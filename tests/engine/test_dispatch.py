@@ -5,13 +5,18 @@ records, same fingerprints, same cache — while the coordinator's trace
 still sees every worker's spans and counters.
 """
 
+import pytest
+
 from repro import run_study
 from repro.engine import (
     ExperimentEngine,
+    Job,
     MachineSpec,
     build_matrix,
     dispatch_jobs,
+    variant_groups,
 )
+from repro.errors import ExperimentError
 from repro.obs import MemorySink, recording
 from repro.obs import core as obs
 from repro.programs import small_config
@@ -151,3 +156,64 @@ def test_dispatch_counters_flow_through_the_engine(tmp_path):
     assert counters["engine.dispatch.jobs"] == 2
     assert counters["engine.result_cache.miss"] == 2
     assert counters["cache.backend.stores"] == 2
+
+
+# ---------------------------------------------------------------------------
+# variant groups: the unit dispatch hands to a worker
+# ---------------------------------------------------------------------------
+
+
+def _variant(latency, **kwargs):
+    spec = MachineSpec.coerce(
+        "t3d", nprocs=kwargs.pop("nprocs", 4), overrides={"net.latency": latency}
+    )
+    return Job.make("swm", kwargs.pop("key", "baseline"), machine=spec,
+                    config=SWM_SMALL, **kwargs)
+
+
+def test_variant_groups_split_on_everything_but_overrides():
+    jobs = [
+        _variant(1e-6),
+        _variant(1e-6, key="cc"),
+        _variant(1e-4),
+        _variant(1e-6, nprocs=9),
+        _variant(1e-4, key="cc"),
+        _variant(1e-4, nprocs=9),
+    ]
+    assert variant_groups(jobs) == [[0, 2], [1, 4], [3, 5]]
+
+
+def test_non_batchable_jobs_are_groups_of_one():
+    jobs = [
+        _variant(1e-6, mode="numeric"),
+        _variant(1e-4, mode="numeric"),
+        _variant(1e-6, fast=False),
+        _variant(1e-4, fast=False),
+        _variant(1e-6, fast=True),
+        _variant(1e-4, fast=True),
+    ]
+    assert variant_groups(jobs) == [[0], [1], [2], [3], [4, 5]]
+
+
+def test_grouped_records_come_back_in_submission_order():
+    jobs = [_variant(1e-6), _variant(1e-6, key="cc"), _variant(1e-4)]
+    records = dispatch_jobs(jobs)
+    assert [r["fingerprint"] for r in records] == [j.fingerprint() for j in jobs]
+    assert [r.get("batched", False) for r in records] == [True, False, True]
+    # the batched pair shares one simulate_many call: compile telemetry
+    # lands on its first row, the call's time is split evenly
+    assert records[2]["compile_cache"] == {
+        "lowered_hit": True, "optimized_hit": True,
+    }
+    assert records[0]["timings"]["simulate_s"] == records[2]["timings"]["simulate_s"]
+
+
+def test_failing_group_names_its_cell():
+    bad = MachineSpec.coerce("t3d", nprocs=4)
+    jobs = [
+        Job.make("swm", "cc", machine=bad, config={"n": -1}),
+        Job.make("swm", "cc", machine=MachineSpec.coerce(
+            bad, overrides={"net.latency": 1e-4}), config={"n": -1}),
+    ]
+    with pytest.raises(ExperimentError, match=r"\(swm, cc, pvm\)"):
+        dispatch_jobs(jobs)

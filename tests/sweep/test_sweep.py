@@ -1,10 +1,14 @@
 """Tests for the parameter-sweep subsystem (`repro.sweep`)."""
 
+import os
+
 import pytest
 
-from repro import MachineError, load_telemetry
+from repro import MachineError, load_telemetry, run_study
 from repro.engine import Job, MachineSpec
-from repro.sweep import SweepAxis, expand_axes, parse_axis, run_sweep
+from repro.obs import MemorySink, recording
+from repro.obs import core as obs
+from repro.sweep import SweepAxis, SweepResult, expand_axes, parse_axis, run_sweep
 from repro.sweep.axes import parse_axes
 
 SIMPLE_SMALL = {"n": 16, "niters": 2, "ncond": 2}
@@ -215,18 +219,40 @@ class TestRunSweep:
 
 
 # ---------------------------------------------------------------------------
-# batched routing: cost-only sweeps go through simulate_many
+# variant groups: cost-only variants of one cell go through simulate_many
 # ---------------------------------------------------------------------------
+
+
+def _per_variant(sweep, cache_dir):
+    """The reference for a sweep: one ordinary ``run_study`` per point,
+    outcomes flattened in sweep order (every job there is a group of
+    one, so it runs alone through ``simulate``)."""
+    outcomes = []
+    for point in sweep.points:
+        study = run_study(
+            benchmarks=sweep.benchmarks,
+            keys=sweep.keys,
+            machine=point.machine,
+            nprocs=point.machine.nprocs,
+            config_overrides={"simple": SIMPLE_SMALL},
+            cache_dir=cache_dir,
+        )
+        outcomes.extend(study.outcomes)
+    return outcomes
+
+
+def _assert_same_rows(batched, reference):
+    assert len(batched) == len(reference)
+    for a, b in zip(batched, reference):
+        assert a.job == b.job
+        # time, counts, volumes, warnings and fast-path counters
+        assert a.record["result"] == b.record["result"]
 
 
 class TestBatchedRouting:
     def test_cost_only_sweep_batches_by_default(self, tmp_path):
         sweep = _sweep(tmp_path)
         assert all(o.record.get("batched") for o in sweep.outcomes)
-
-    def test_batched_false_keeps_per_job_path(self, tmp_path):
-        sweep = _sweep(tmp_path, batched=False)
-        assert not any(o.record.get("batched") for o in sweep.outcomes)
 
     def test_nprocs_axis_falls_back(self, tmp_path):
         sweep = _sweep(tmp_path, axes=[SweepAxis("nprocs", (2, 4))])
@@ -236,59 +262,88 @@ class TestBatchedRouting:
         sweep = _sweep(tmp_path, axes=[SweepAxis("net.latency", (1e-6,))])
         assert not any(o.record.get("batched") for o in sweep.outcomes)
 
-    def test_forced_batched_with_nprocs_axis_raises(self, tmp_path):
-        with pytest.raises(MachineError, match="nprocs"):
-            _sweep(tmp_path, axes=[SweepAxis("nprocs", (2, 4))], batched=True)
-
-    def test_forced_batched_with_numeric_mode_raises(self, tmp_path):
-        with pytest.raises(MachineError, match="TIMING"):
-            _sweep(tmp_path, mode="numeric", batched=True)
-
-    def test_forced_batched_with_fast_false_raises(self, tmp_path):
-        with pytest.raises(MachineError, match="fast"):
-            _sweep(tmp_path, fast=False, batched=True)
-
     def test_numeric_mode_falls_back(self, tmp_path):
         sweep = _sweep(tmp_path, mode="numeric")
         assert not any(o.record.get("batched") for o in sweep.outcomes)
 
+    def test_fast_false_falls_back(self, tmp_path):
+        sweep = _sweep(tmp_path, fast=False)
+        assert not any(o.record.get("batched") for o in sweep.outcomes)
+
     def test_batched_matches_per_job_bitwise(self, tmp_path):
-        batched = _sweep(tmp_path, cache_dir=tmp_path / "a", batched=True)
-        scalar = _sweep(tmp_path, cache_dir=tmp_path / "b", batched=False)
-        assert batched.cells == scalar.cells
-        for a, b in zip(batched.outcomes, scalar.outcomes):
-            assert a.job == b.job
-            assert a.result == b.result
-            ra, rb = a.record["result"], b.record["result"]
-            assert ra["execution_time"] == rb["execution_time"]
-            assert ra["total_messages"] == rb["total_messages"]
-            assert ra["total_bytes"] == rb["total_bytes"]
-            assert ra["warnings"] == rb["warnings"]
+        batched = _sweep(tmp_path, cache_dir=tmp_path / "a")
+        assert all(o.record.get("batched") for o in batched.outcomes)
+        reference = _per_variant(batched, tmp_path / "b")
+        assert not any(o.record.get("batched") for o in reference)
+        _assert_same_rows(batched.outcomes, reference)
+
+    def test_nprocs_by_cost_sweep_batches_per_nprocs(self, tmp_path):
+        axes = [
+            SweepAxis("nprocs", (2, 4)),
+            SweepAxis("net.latency", (1e-6, 1e-4)),
+        ]
+        with recording(MemorySink()):
+            sweep = _sweep(tmp_path, axes=axes, jobs=1, cache=False)
+            counters = obs.counters()
+        assert sweep.cells == 8
+        assert all(o.record.get("batched") for o in sweep.outcomes)
+        # one simulate_many call per (nprocs, key) group, none per job
+        assert counters["sim.batch.runs"] == 4
+        assert "sim.runs" not in counters
+        _assert_same_rows(sweep.outcomes, _per_variant(sweep, tmp_path / "b"))
+
+    def test_pool_matches_inline(self, tmp_path):
+        inline = _sweep(tmp_path, jobs=1, cache_dir=tmp_path / "a")
+        pooled = _sweep(tmp_path, jobs=2, cache_dir=tmp_path / "b")
+        assert all(o.record["worker_pid"] != os.getpid() for o in pooled.outcomes)
+        assert [o.record["result"] for o in inline.outcomes] == [
+            o.record["result"] for o in pooled.outcomes
+        ]
+
+    def test_traced_pool_run_is_one_stitched_trace(self, tmp_path):
+        sink = MemorySink()
+        with recording(sink) as rec:
+            sweep = _sweep(tmp_path, jobs=2, cache=False)
+        assert all(o.record.get("batched") for o in sweep.outcomes)
+        spans = [r for r in sink.records if r["type"] == "span"]
+        assert {r["trace"] for r in spans} == {rec.trace_id}
+        worker = [r for r in spans if "worker_pid" in r]
+        # one worker-side "group" span per (benchmark, key) cell
+        assert sum(r["name"] == "group" for r in worker) == 2
+        assert sum(r["name"] == "simulate_many" for r in worker) == 2
 
     def test_cache_interop_batched_then_scalar(self, tmp_path):
-        cold = _sweep(tmp_path, batched=True)
+        cold = _sweep(tmp_path)
         assert cold.cache_hits == 0
-        warm = _sweep(tmp_path, batched=False)
-        assert warm.cache_hits == warm.cells
-        for a, b in zip(cold.outcomes, warm.outcomes):
+        warm = _per_variant(cold, tmp_path / "cache")
+        assert all(o.cached for o in warm)
+        for a, b in zip(cold.outcomes, warm):
             assert a.result.execution_time == b.result.execution_time
 
     def test_cache_interop_scalar_then_batched(self, tmp_path):
-        cold = _sweep(tmp_path, batched=False)
-        assert cold.cache_hits == 0
-        warm = _sweep(tmp_path, batched=True)
+        points = expand_axes(
+            [SweepAxis("net.latency", (1e-6, 1e-4))],
+            MachineSpec.coerce("t3d", nprocs=4),
+        )
+        shape = SweepResult(
+            axes=(), points=points, benchmarks=("simple",),
+            keys=("baseline", "cc"), outcomes=[],
+        )
+        cold = _per_variant(shape, tmp_path / "cache")
+        assert not any(o.cached for o in cold)
+        warm = _sweep(tmp_path)
         assert warm.cache_hits == warm.cells
-        for a, b in zip(cold.outcomes, warm.outcomes):
+        for a, b in zip(cold, warm.outcomes):
             assert a.result.execution_time == b.result.execution_time
 
     def test_growing_an_axis_batches_only_new_points(self, tmp_path):
-        _sweep(tmp_path, batched=True)
+        _sweep(tmp_path)
         grown = _sweep(
             tmp_path,
-            axes=[SweepAxis("net.latency", (1e-6, 1e-4, 1e-3))],
-            batched=True,
+            axes=[SweepAxis("net.latency", (1e-6, 1e-4, 1e-3, 1e-2))],
         )
-        assert grown.cells == 6
+        assert grown.cells == 8
         assert grown.cache_hits == 4
         fresh = [o for o in grown.outcomes if not o.cached]
+        assert len(fresh) == 4
         assert all(o.record.get("batched") for o in fresh)

@@ -340,29 +340,8 @@ def test_experiments_nprocs_zero_exits_cleanly(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# unified flags: --set / --nprocs / --batched across subcommands
+# unified flags: --set / --nprocs across subcommands
 # ---------------------------------------------------------------------------
-
-
-def test_sweep_batched_flags(tmp_path, capsys):
-    cache = ["--cache-dir", str(tmp_path / "a")]
-    argv = ["sweep", "--axis", "net.latency=1e-6,1e-4", "--batched"]
-    assert main(argv + SWEEP_SCALE + cache) == 0
-    out = capsys.readouterr().out
-    assert "4 cells" in out
-    cache = ["--cache-dir", str(tmp_path / "b")]
-    argv = ["sweep", "--axis", "net.latency=1e-6,1e-4", "--no-batched"]
-    assert main(argv + SWEEP_SCALE + cache) == 0
-    assert "4 cells" in capsys.readouterr().out
-
-
-def test_sweep_batched_with_nprocs_axis_exits_cleanly(tmp_path):
-    with pytest.raises(SystemExit, match="sweep:.*nprocs"):
-        main(
-            ["sweep", "--axis", "nprocs=2,4", "--batched",
-             "--cache-dir", str(tmp_path / "cache")]
-            + SWEEP_SCALE
-        )
 
 
 def test_experiments_set_override_moves_times(tmp_path, capsys):
